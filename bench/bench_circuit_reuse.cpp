@@ -1,12 +1,14 @@
-// A/B measurement of the compile-once circuit pipeline: the same Figure 3
-// sweep (Open 4, SOS 1r1, 13x12 (R_def, U) grid) swept single-threaded in
-// both circuit lifecycles of ExecutionPolicy:
+// A/B measurement of the engine plan: the same Figure 3 sweep (Open 4, SOS
+// 1r1, 13x12 (R_def, U) grid) swept single-threaded in every mode worth
+// measuring:
 //   * CircuitMode::kRebuild — netlist + template + power-up reconstructed
 //     for every grid point (the PR 1 engine's lifecycle);
 //   * CircuitMode::kReuse (default) — one CircuitTemplate compiled per
 //     sweep, per-worker columns restamped through ParamHandles and reset()
-//     per point, plus the opt-in warm-start variant.
-// The maps must stay bit-identical across all modes; only wall clock moves.
+//     per point;
+//   * reuse+adaptive — seed + bisect + infer per row, boundary-exact on this
+//     map's band structure.
+// The maps must stay identical across all modes; only wall clock moves.
 //
 // Set PF_DUMP_JSON=1 to write BENCH_circuit_reuse.json next to the binary
 // (mirrors bench_parallel_scaling). The recorded copy lives in results/.
@@ -46,6 +48,7 @@ struct ModeTiming {
   double seconds = 0.0;
   double points_per_sec = 0.0;
   bool bit_identical = true;  // vs the kRebuild reference map
+  size_t inferred = 0;        // adaptive: points filled without solving
 };
 
 ModeTiming time_mode(const analysis::SweepSpec& spec, const char* name,
@@ -63,6 +66,7 @@ ModeTiming time_mode(const analysis::SweepSpec& spec, const char* name,
       t.seconds;
   t.bit_identical =
       reference_csv.empty() || map.to_csv() == reference_csv;
+  t.inferred = map.solve_stats().inferred;
   return t;
 }
 
@@ -78,27 +82,30 @@ void print_reproduction() {
       analysis::sweep_region(spec, rebuild).to_csv();
 
   analysis::ExecutionPolicy reuse;  // the default: CircuitMode::kReuse
-  analysis::ExecutionPolicy warm = reuse;
-  warm.plan.warm_start = true;
+  analysis::ExecutionPolicy adaptive = reuse;
+  adaptive.plan.adaptive = true;
 
   const ModeTiming timings[] = {
       time_mode(spec, "rebuild", rebuild, ""),
       time_mode(spec, "reuse", reuse, reference_csv),
-      time_mode(spec, "reuse+warm_start", warm, reference_csv),
+      time_mode(spec, "reuse+adaptive", adaptive, reference_csv),
   };
   const double rebuild_s = timings[0].seconds;
 
-  std::printf("circuit reuse vs per-point rebuild, %zux%zu grid "
+  std::printf("engine plan modes vs per-point rebuild, %zux%zu grid "
               "(%zu points), single thread:\n",
               spec.r_axis.size(), spec.u_axis.size(), n_points);
   std::printf("  seed engine (recorded)   %7.1f points/sec\n",
               kSeedPointsPerSec);
-  for (const ModeTiming& t : timings)
+  for (const ModeTiming& t : timings) {
     std::printf("  %-16s %6.3f s  %7.1f points/sec  %.2fx vs rebuild  "
-                "%.2fx vs seed  %s\n",
+                "%.2fx vs seed  %s",
                 t.mode, t.seconds, t.points_per_sec, rebuild_s / t.seconds,
                 t.points_per_sec / kSeedPointsPerSec,
                 t.bit_identical ? "bit-identical" : "MAP DIFFERS");
+    if (t.inferred > 0) std::printf("  (%zu inferred)", t.inferred);
+    std::printf("\n");
+  }
   std::printf("\n");
 
   if (std::getenv("PF_DUMP_JSON") != nullptr) {
@@ -119,6 +126,7 @@ void print_reproduction() {
           << ", \"points_per_sec\": " << t.points_per_sec
           << ", \"speedup_vs_rebuild\": " << rebuild_s / t.seconds
           << ", \"speedup_vs_seed\": " << t.points_per_sec / kSeedPointsPerSec
+          << ", \"inferred_points\": " << t.inferred
           << ", \"bit_identical_to_rebuild\": "
           << (t.bit_identical ? "true" : "false") << "}" << (i < 2 ? "," : "")
           << "\n";

@@ -15,9 +15,6 @@
 //   defect_explorer --no-reuse ...      # rebuild the circuit per grid point
 //       instead of restamping one compiled template (A/B escape hatch; same
 //       map bit for bit, slower)
-//   defect_explorer --backend batched ...  # advance each grid row's U-lanes
-//       in lockstep on the batched SIMD backend (same map bit for bit;
-//       lanes the lockstep pass cannot solve fall back to scalar retries)
 //   defect_explorer --adaptive ...      # trace row boundaries instead of
 //       evaluating every U point: seed, bisect disagreements, infer the
 //       rest (exact for bands wider than the seed stride)
@@ -74,7 +71,6 @@ int main(int argc, char** argv) {
   double deadline = 0.0;
   bool reuse = true;
   bool adaptive = false;
-  spice::SolverBackend backend = spice::SolverBackend::kScalar;
   bool wedge_on_interrupt = false;
   std::vector<const char*> args;
   for (int i = 1; i < argc; ++i) {
@@ -82,17 +78,6 @@ int main(int argc, char** argv) {
       reuse = false;
     } else if (std::strcmp(argv[i], "--adaptive") == 0) {
       adaptive = true;
-    } else if (std::strcmp(argv[i], "--backend") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--backend needs 'scalar' or 'batched'\n");
-        return 1;
-      }
-      try {
-        backend = spice::parse_solver_backend(argv[++i]);
-      } catch (const pf::Error& e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        return 1;
-      }
     } else if (std::strcmp(argv[i], "--wedge-on-interrupt") == 0) {
       wedge_on_interrupt = true;
     } else if (std::strcmp(argv[i], "--threads") == 0) {
@@ -128,7 +113,6 @@ int main(int argc, char** argv) {
   exec.deadline_seconds = deadline;
   exec.plan.circuit_mode = reuse ? analysis::CircuitMode::kReuse
                                  : analysis::CircuitMode::kRebuild;
-  exec.plan.backend = backend;
   exec.plan.adaptive = adaptive;
 
   analysis::SweepSpec spec;

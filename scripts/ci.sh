@@ -37,21 +37,22 @@ echo "== bounded fuzz (PF_FUZZ_ITERS=${FUZZ_ITERS})"
 PF_FUZZ_ITERS="$FUZZ_ITERS" \
   ctest --test-dir "$BUILD" -L tier2-fuzz --output-on-failure
 
-# Backend A/B golden suites under ASan+UBSan: the batched lockstep kernel
-# and the word-parallel PlaneMemory are the places where raw SoA indexing
-# and lane masks could hide out-of-bounds or UB that the bit-identity tests
-# alone would not surface. Build a separate sanitized tree (PF_SANITIZE
-# plumbs into -fsanitize=) and run exactly the suites that drive both
-# backends over the same grids/populations. PF_SKIP_SANITIZE=1 opts out
-# (e.g. toolchains without libasan).
+# Golden A/B suites under ASan+UBSan: the word-parallel PlaneMemory's raw
+# bit-plane indexing and lane masks, and the engine-plan matrix (reuse vs
+# rebuild, dense vs adaptive), are the places where out-of-bounds or UB
+# could hide behind passing bit-identity checks. Build a separate sanitized
+# tree (PF_SANITIZE plumbs into -fsanitize=) and run exactly the suites
+# that drive both sides of each A/B over the same grids/populations.
+# PF_SKIP_SANITIZE=1 opts out of this and the TSan stage (e.g. toolchains
+# without libasan/libtsan).
 if [[ "${PF_SKIP_SANITIZE:-0}" != "1" ]]; then
   SAN_BUILD="${BUILD}-asan"
-  echo "== backend A/B under sanitizers (${SAN_BUILD}, address,undefined)"
+  echo "== golden A/B under sanitizers (${SAN_BUILD}, address,undefined)"
   cmake -B "$SAN_BUILD" -S . -DPF_SANITIZE=address,undefined >/dev/null
   cmake --build "$SAN_BUILD" -j "$JOBS" \
     --target test_dram test_analysis test_memsim test_march test_fuzz
   ctest --test-dir "$SAN_BUILD" --output-on-failure -j "$JOBS" \
-    -R 'BatchedColumn|CircuitReuse|EnginePlan|PlaneMemory|PopulationAB'
+    -R 'CircuitReuse|EnginePlan|PlaneMemory|PopulationAB'
 
   # SearchAB: the march-search optimizer mutates candidate tests in a hot
   # loop (element/op erase + crossover splices) and walks per-unit
@@ -62,6 +63,17 @@ if [[ "${PF_SKIP_SANITIZE:-0}" != "1" ]]; then
   PF_FUZZ_ITERS="$FUZZ_ITERS" \
     ctest --test-dir "$SAN_BUILD" --output-on-failure -j "$JOBS" \
     -R 'Search|FuzzSearch'
+
+  # Grid dispatch under ThreadSanitizer: ParallelGridRunner's atomic cursor,
+  # per-index outcome slots, serialized journal appends and progress
+  # callback, cooperative cancellation, and the point and adaptive-row
+  # dispatch of sweep_region, all run with real worker threads.
+  TSAN_BUILD="${BUILD}-tsan"
+  echo "== grid dispatch under ThreadSanitizer (${TSAN_BUILD})"
+  cmake -B "$TSAN_BUILD" -S . -DPF_SANITIZE=thread >/dev/null
+  cmake --build "$TSAN_BUILD" -j "$JOBS" --target test_analysis
+  ctest --test-dir "$TSAN_BUILD" --output-on-failure -j "$JOBS" \
+    -R 'ParallelSweep|SweepCancellation|CircuitReuse|ExecutionPolicy_'
 fi
 
 echo "== ci gate passed"

@@ -29,45 +29,30 @@
 #include <string>
 
 #include "pf/analysis/robust.hpp"
-#include "pf/spice/solver_backend.hpp"
 #include "pf/util/cancellation.hpp"
 
 namespace pf::analysis {
 
 class SessionCache;
 
-/// How the engine obtains and advances circuits for a sweep — the four
-/// solver-side decisions that used to be scattered across loose
-/// ExecutionPolicy fields. One EnginePlan travels with the policy through
-/// every driver (sweep_region, generate_table1, the completion search) and
-/// through the pf_served job codec, so a job means the same thing at every
-/// layer.
+/// How the engine obtains circuits and which grid points it solves — the
+/// solver-side decisions of a sweep. One EnginePlan travels with the policy
+/// through every driver (sweep_region, generate_table1, the completion
+/// search) and through the pf_served job codec, so a job means the same
+/// thing at every layer. Every point is solved by the one scalar transient
+/// engine; the plan only decides how its circuit is obtained and whether
+/// every point of a row is solved at all.
 struct EnginePlan {
-  /// Which transient engine solves grid points. kScalar is the reference
-  /// per-point engine; kBatched advances a whole grid row of U-lanes in
-  /// lockstep on one shared template (SIMD across lanes) and falls back to
-  /// the scalar robust path for any lane the lockstep pass could not solve.
-  /// Batched dense sweeps are bit-identical to scalar ones.
-  spice::SolverBackend backend = spice::SolverBackend::kScalar;
-
   /// How workers obtain circuits (see pf/analysis/sos_runner.hpp). kReuse
   /// (default) compiles once per sweep and restamps per point; kRebuild
   /// reconstructs everything per point (the reference escape hatch).
-  /// kBatched requires kReuse: lanes are seeded from one shared session.
   CircuitMode circuit_mode = CircuitMode::kReuse;
-
-  /// Opt-in warm start (requires kReuse + kScalar): power-up replays from
-  /// the previous point's end state instead of the pristine snapshot.
-  /// Region maps match the cold path; step counts need not. The batched
-  /// backend ignores it (lanes always start from the pristine snapshot).
-  bool warm_start = false;
 
   /// Adaptive boundary tracing: instead of evaluating every U-lane of a
   /// row, evaluate seed points, bisect between neighbours that disagree,
   /// and infer the agreeing gaps. Exact on maps whose rows are unions of
   /// bands wider than the seed stride (the paper's Figures 3-4 shape);
-  /// narrower bands can be missed — see DESIGN.md §11. Works under either
-  /// backend.
+  /// narrower bands can be missed — see DESIGN.md §11.
   bool adaptive = false;
 };
 
@@ -84,9 +69,7 @@ struct ExecutionPolicy {
   /// Per-experiment solver retry/backoff (see pf/analysis/robust.hpp).
   RetryPolicy retry;
 
-  /// Solver-side decisions: backend, circuit lifecycle, warm start,
-  /// adaptive tracing. Drivers read this through resolved_plan(), which
-  /// validates it (kBatched requires kReuse).
+  /// Solver-side decisions: circuit lifecycle and adaptive tracing.
   EnginePlan plan;
 
   /// Cross-sweep session reuse (see pf/analysis/session_cache.hpp). When
@@ -137,14 +120,8 @@ struct ExecutionPolicy {
 };
 
 /// The worker count `threads` resolves to (0 -> hardware concurrency,
-/// never below 1).
+/// negative -> 1, never below 1).
 int resolve_worker_count(int threads);
-
-/// The effective EnginePlan of a policy: `policy.plan`, validated.
-/// Throws pf::Error for plans the engine cannot execute
-/// (kBatched + kRebuild). The PR 8 [[deprecated]] `circuit`/`warm_start`
-/// forwarding shims are gone — EnginePlan is the only spelling.
-EnginePlan resolved_plan(const ExecutionPolicy& policy);
 
 /// Dispatches grid points to a fixed-size worker pool. One runner is
 /// constructed per driver call; each run() spawns `workers() - 1` pool

@@ -101,10 +101,7 @@ class RegionMap {
 /// engine options in place) and reset() per grid point. Because reset() is
 /// bit-identical to a fresh construction (pf/dram/column.hpp), the map
 /// equals a CircuitMode::kRebuild sweep bit for bit at any thread count;
-/// only wall-clock changes. policy.plan.warm_start additionally replays
-/// power-up
-/// from the previous point's end state instead of restoring the pristine
-/// snapshot (same map, different solver trajectories).
+/// only wall-clock changes.
 ///
 /// Cancellation: when policy.cancel trips (signal handler, deadline) the
 /// sweep drains in-flight points, journals them, and throws
@@ -112,17 +109,13 @@ class RegionMap {
 /// where it stopped and, because points are merged by grid index, yields a
 /// map bit-identical to an uninterrupted run.
 ///
-/// Engine plan (policy.plan, see pf/analysis/execution.hpp): with
-/// backend == kBatched the unit of dispatch becomes one grid ROW — a
-/// per-worker batched engine advances the row's U-lanes in lockstep and
-/// any lane the lockstep pass cannot solve falls back to the scalar retry
-/// loop, so the dense map stays bit-identical to the scalar backend's.
-/// With plan.adaptive each row evaluates boundary-tracing seed points,
-/// bisects between class-disagreeing neighbours, and fills agreeing gaps
-/// by inference (SweepStats::inferred; journaled with attempts = 0) —
-/// exact when every same-class band is at least as wide as the seed
-/// stride, else narrow bands may be missed. Row-based modes report
-/// progress per ROW, not per point, and ignore plan.warm_start.
+/// Adaptive tracing (policy.plan.adaptive, see pf/analysis/execution.hpp):
+/// the unit of dispatch becomes one grid ROW, which evaluates
+/// boundary-tracing seed points, bisects between class-disagreeing
+/// neighbours, and fills agreeing gaps by inference (SweepStats::inferred;
+/// journaled with attempts = 0) — exact when every same-class band is at
+/// least as wide as the seed stride, else narrow bands may be missed.
+/// Adaptive sweeps report progress per ROW, not per point.
 RegionMap sweep_region(const SweepSpec& spec,
                        const ExecutionPolicy& policy = {});
 

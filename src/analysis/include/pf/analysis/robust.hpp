@@ -97,8 +97,7 @@ RobustOutcome run_sos_robust(SosSession& session,
                              const faults::Sos& sos,
                              const RetryPolicy& policy,
                              const ExperimentContext& ctx,
-                             bool idle_before_observe = false,
-                             bool warm_start = false);
+                             bool idle_before_observe = false);
 
 /// Injection-context key used by sweep_region for the grid point (ix, iy).
 std::string grid_point_key(size_t ix, size_t iy);

@@ -63,9 +63,9 @@ SosOutcome run_sos(const dram::DramParams& params, const dram::Defect& defect,
                    const dram::FloatingLine* line, double u,
                    const faults::Sos& sos, bool idle_before_observe = false);
 
-/// The shared implementation behind run_sos and SosSession::run: executes
-/// the SOS on `column`, which must be in the pristine post-power-up state
-/// (fresh construction, reset(), or — for warm starts — a power_up() replay).
+/// The implementation behind run_sos (SosSession::run shares it from the
+/// floating-voltage injection on): executes the SOS on `column`, which must
+/// be in the pristine post-power-up state (fresh construction or reset()).
 SosOutcome run_sos_on(dram::DramColumn& column, const dram::FloatingLine* line,
                       double u, const faults::Sos& sos,
                       bool idle_before_observe = false);
@@ -89,22 +89,18 @@ class SosSession {
 
   /// One experiment, bit-identical to
   ///   run_sos(params{sim = options}, defect{resistance = r_def}, ...)
-  /// on a fresh column. With `warm_start` the column is NOT reset to
-  /// pristine first: the power-up sequence replays from the previous
-  /// experiment's end state (the opt-in R-sweep warm start; classifications
-  /// match the cold path, exact node trajectories need not).
+  /// on a fresh column.
   ///
-  /// Cold runs additionally cache the POST-INITIALIZATION snapshot: the
-  /// SOS's initializing writes (step 1) happen before the floating voltage
-  /// is injected (step 2), so consecutive experiments that share (R_def,
-  /// numerics, initial states) — e.g. one grid row of a sweep, which varies
-  /// only U — restore the snapshot instead of re-solving power-up and the
+  /// Runs cache the POST-INITIALIZATION snapshot: the SOS's initializing
+  /// writes (step 1) happen before the floating voltage is injected
+  /// (step 2), so consecutive experiments that share (R_def, numerics,
+  /// initial states) — e.g. one grid row of a sweep, which varies only U —
+  /// restore the snapshot instead of re-solving power-up and the
   /// initializing writes. Deterministic replay makes the restored state
   /// equal the re-solved state bit for bit, so outcomes are unaffected.
   SosOutcome run(double r_def, const spice::SimOptions& options,
                  const dram::FloatingLine* line, double u,
-                 const faults::Sos& sos, bool idle_before_observe = false,
-                 bool warm_start = false);
+                 const faults::Sos& sos, bool idle_before_observe = false);
 
   /// Swap the underlying column's engine options in place, exactly like a
   /// per-run `options` argument would. The override is part of the
@@ -114,46 +110,13 @@ class SosSession {
     column_.set_sim_options(options);
   }
 
-  /// One lane of run_batch: the experiment's outcome, or the solver error
-  /// that kept the lockstep pass from completing it. An unsolved lane says
-  /// nothing about the grid point — callers re-run it through the scalar
-  /// robust path.
-  struct LaneOutcome {
-    SosOutcome outcome;
-    bool solved = false;
-    std::string error;
-  };
-
-  /// A whole grid row in one call: every lane shares (r_def, options, sos)
-  /// and varies only the floating-line voltage us[lane] — the batched
-  /// backend's unit of work. All lanes are seeded from the same post-
-  /// initialization snapshot that a cold run() would use, then advanced in
-  /// lockstep by the batched solver (pf/spice/solver_backend.hpp). Solved
-  /// lanes are bit-identical to a cold scalar run() at the same U.
-  ///
-  /// Requires options the batched engine accepts (max_wall_seconds == 0)
-  /// and no armed test-only fault injection; callers gate on both and fall
-  /// back to scalar execution otherwise.
-  std::vector<LaneOutcome> run_batch(double r_def,
-                                     const spice::SimOptions& options,
-                                     const dram::FloatingLine* line,
-                                     const std::vector<double>& us,
-                                     const faults::Sos& sos,
-                                     bool idle_before_observe = false);
-
  private:
   explicit SosSession(dram::DramColumn column) : column_(std::move(column)) {}
 
-  /// Brings column_ to the post-initialization state for (r_def, options,
-  /// sos initial states) — via the snapshot cache when valid, else by a
-  /// reset() + replayed initializing writes (and re-caches).
-  void ensure_post_init_state(double r_def, const spice::SimOptions& options,
-                              const faults::Sos& sos);
-
   dram::DramColumn column_;
 
-  // Post-initialization snapshot cache (valid for cold runs only; keyed on
-  // the exact configuration that determines the pre-injection trajectory).
+  // Post-initialization snapshot cache (keyed on the exact configuration
+  // that determines the pre-injection trajectory).
   dram::DramColumn::State init_state_;
   spice::SimOptions init_options_;
   double init_r_ = 0.0;

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <memory>
 
-#include "pf/spice/fault_injection.hpp"
 #include "pf/util/log.hpp"
 
 namespace pf::analysis {
@@ -101,7 +100,6 @@ CompletionResult search_completing_ops(const CompletionSpec& spec) {
                "completion search needs probe rows and voltages");
   CompletionResult result;
   const ExecutionPolicy& policy = spec.exec;
-  const EnginePlan plan = resolved_plan(policy);
   const ParallelGridRunner runner(policy);
   const Sos& base = spec.base.sos;
   const int entry_state = required_entry_state(base);
@@ -119,10 +117,10 @@ CompletionResult search_completing_ops(const CompletionSpec& spec) {
   // Compile-once pipeline: one template for the whole search, per-worker
   // sessions that persist ACROSS candidates — every probe restamps + resets
   // its worker's column (bit-identical to a fresh build), so the search
-  // never reconstructs a netlist after this point. Probes always reset cold
-  // (no warm start): candidate verdicts must not depend on probe order.
+  // never reconstructs a netlist after this point. Probes always reset cold:
+  // candidate verdicts must not depend on probe order.
   std::unique_ptr<SosSession> prototype;
-  if (plan.circuit_mode == CircuitMode::kReuse) {
+  if (policy.plan.circuit_mode == CircuitMode::kReuse) {
     dram::Defect proto_defect = spec.defect;
     proto_defect.resistance = spec.probe_r.front();
     prototype = std::make_unique<SosSession>(probe_params, proto_defect);
@@ -136,14 +134,6 @@ CompletionResult search_completing_ops(const CompletionSpec& spec) {
       session = std::make_unique<SosSession>(prototype->clone());
     return *session;
   };
-  // Batched backend: probes fan out one probe-R row at a time, all probe-U
-  // lanes advancing in lockstep (resolved_plan guarantees kReuse). The
-  // verdict predicate is identical; only the run/failure tallies may differ
-  // from the scalar backend's early-exit counts.
-  const spice::SimOptions attempt1 =
-      tightened_sim_options(probe_params.sim, policy.retry, 1);
-  const bool batch_rows = plan.backend == spice::SolverBackend::kBatched &&
-                          attempt1.max_wall_seconds <= 0.0;
 
   for (int len = 1; len <= spec.max_prefix_ops; ++len) {
     std::vector<Candidate> candidates;
@@ -165,7 +155,11 @@ CompletionResult search_completing_ops(const CompletionSpec& spec) {
       std::atomic<uint64_t> runs{0};
       std::atomic<uint64_t> failures{0};
       const size_t n_u = spec.probe_u.size();
-      const auto scalar_probe = [&](double r, double u, int worker) {
+      runner.run(spec.probe_r.size() * n_u, [&](size_t k, int worker) {
+        if (rejected.load(std::memory_order_relaxed)) return;
+        const double r = spec.probe_r[k / n_u];
+        const double u = spec.probe_u[k % n_u];
+        runs.fetch_add(1, std::memory_order_relaxed);
         dram::Defect defect = spec.defect;
         defect.resistance = r;
         ExperimentContext ctx;
@@ -175,63 +169,26 @@ CompletionResult search_completing_ops(const CompletionSpec& spec) {
         ctx.r_def = r;
         ctx.u = u;
         ctx.sos = sos.to_string();
-        if (prototype != nullptr)
-          return run_sos_robust(session_for(worker), probe_params.sim, defect,
-                                &line, u, sos, policy.retry, ctx,
-                                is_state_fault);
-        return run_sos_robust(probe_params, defect, &line, u, sos,
-                              policy.retry, ctx, is_state_fault);
-      };
-      const auto judge = [&](const SosOutcome& out) {
-        if (!out.faulty ||
-            out.final_state != spec.base.faulty_state ||
+        const RobustOutcome ro =
+            prototype != nullptr
+                ? run_sos_robust(session_for(worker), probe_params.sim,
+                                 defect, &line, u, sos, policy.retry, ctx,
+                                 is_state_fault)
+                : run_sos_robust(probe_params, defect, &line, u, sos,
+                                 policy.retry, ctx, is_state_fault);
+        if (!ro.solved) {
+          // An unsolvable probe cannot demonstrate the completion; reject
+          // the candidate and keep searching instead of aborting the
+          // whole catalogue run.
+          failures.fetch_add(1, std::memory_order_relaxed);
+          rejected.store(true, std::memory_order_relaxed);
+          return;
+        }
+        const SosOutcome& out = ro.outcome;
+        if (!out.faulty || out.final_state != spec.base.faulty_state ||
             out.read_result != spec.base.read_result)
           rejected.store(true, std::memory_order_relaxed);
-      };
-      if (batch_rows) {
-        runner.run(spec.probe_r.size(), [&](size_t k, int worker) {
-          if (rejected.load(std::memory_order_relaxed)) return;
-          const double r = spec.probe_r[k];
-          std::vector<SosSession::LaneOutcome> lanes;
-          const bool lockstep = !spice::testing::armed();
-          if (lockstep)
-            lanes = session_for(worker).run_batch(r, attempt1, &line,
-                                                  spec.probe_u, sos,
-                                                  is_state_fault);
-          for (size_t j = 0; j < n_u; ++j) {
-            if (rejected.load(std::memory_order_relaxed)) return;
-            runs.fetch_add(1, std::memory_order_relaxed);
-            if (lockstep && lanes[j].solved) {
-              judge(lanes[j].outcome);
-              continue;
-            }
-            const RobustOutcome ro = scalar_probe(r, spec.probe_u[j], worker);
-            if (!ro.solved) {
-              failures.fetch_add(1, std::memory_order_relaxed);
-              rejected.store(true, std::memory_order_relaxed);
-              return;
-            }
-            judge(ro.outcome);
-          }
-        });
-      } else {
-        runner.run(spec.probe_r.size() * n_u, [&](size_t k, int worker) {
-          if (rejected.load(std::memory_order_relaxed)) return;
-          const double r = spec.probe_r[k / n_u];
-          const double u = spec.probe_u[k % n_u];
-          runs.fetch_add(1, std::memory_order_relaxed);
-          const RobustOutcome ro = scalar_probe(r, u, worker);
-          if (!ro.solved) {
-            // An unsolvable probe cannot demonstrate the completion; reject
-            // the candidate and keep searching instead of aborting the
-            // whole catalogue run.
-            failures.fetch_add(1, std::memory_order_relaxed);
-            rejected.store(true, std::memory_order_relaxed);
-            return;
-          }
-          judge(ro.outcome);
-        });
-      }
+      });
       result.sos_runs += runs.load();
       result.solver_failures += failures.load();
       if (!rejected.load()) {

@@ -22,19 +22,9 @@ namespace {
 
 }  // namespace
 
-EnginePlan resolved_plan(const ExecutionPolicy& policy) {
-  EnginePlan plan = policy.plan;
-  if (plan.backend == spice::SolverBackend::kBatched &&
-      plan.circuit_mode == CircuitMode::kRebuild)
-    throw pf::Error(
-        "the batched solver backend requires circuit reuse "
-        "(EnginePlan{backend=batched, circuit_mode=rebuild} is not "
-        "executable: lanes are seeded from one shared compiled session)");
-  return plan;
-}
-
 int resolve_worker_count(int threads) {
   if (threads > 0) return threads;
+  if (threads < 0) return 1;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
 }

@@ -8,7 +8,6 @@
 
 #include "pf/analysis/checkpoint.hpp"
 #include "pf/analysis/session_cache.hpp"
-#include "pf/spice/fault_injection.hpp"
 #include "pf/util/ascii_plot.hpp"
 #include "pf/util/log.hpp"
 #include "pf/util/strings.hpp"
@@ -176,7 +175,7 @@ struct PointOutcome {
 ///      join for free),
 ///   2. bisect: between adjacent KNOWN points whose classes disagree,
 ///      evaluate the midpoint; repeat in waves until every disagreeing gap
-///      is down to width 1 (a wave's midpoints batch nicely),
+///      is down to width 1,
 ///   3. infer: interiors of agreeing gaps take the endpoints' class
 ///      without solving.
 ///
@@ -240,7 +239,7 @@ class AdaptiveRowTracer {
 }  // namespace
 
 RegionMap sweep_region(const SweepSpec& spec, const ExecutionPolicy& policy) {
-  const EnginePlan plan = resolved_plan(policy);
+  const EnginePlan& plan = policy.plan;
   PF_CHECK(!spec.r_axis.empty() && !spec.u_axis.empty());
   const auto lines = dram::floating_lines_for(spec.defect, spec.params);
   PF_CHECK_MSG(spec.floating_line_index < lines.size(),
@@ -289,12 +288,12 @@ RegionMap sweep_region(const SweepSpec& spec, const ExecutionPolicy& policy) {
   SweepSpec run_spec = spec;
   run_spec.params.sim.cancel = policy.cancel;
 
-  // Pending points in row-major grid order; index k of `results` belongs to
-  // flat grid index pending[k], whatever worker solves it.
+  // Pending points in row-major grid order.
   const size_t width = spec.u_axis.size();
+  const size_t height = spec.r_axis.size();
   std::vector<size_t> pending;
-  pending.reserve(width * spec.r_axis.size());
-  for (size_t iy = 0; iy < spec.r_axis.size(); ++iy)
+  pending.reserve(width * height);
+  for (size_t iy = 0; iy < height; ++iy)
     for (size_t ix = 0; ix < width; ++ix)
       if (!done.at(ix, iy)) pending.push_back(iy * width + ix);
 
@@ -353,167 +352,69 @@ RegionMap sweep_region(const SweepSpec& spec, const ExecutionPolicy& policy) {
     ctx.sos = sos_label;
     return ctx;
   };
-  // The full scalar retry loop for one point (reference semantics; also the
-  // per-lane fallback of the batched backend).
-  const auto scalar_point = [&](size_t ix, size_t iy, int worker,
-                                bool warm_start) {
+  // Per-point outcome slots, indexed by flat grid index. Each slot is
+  // written by exactly one worker (a worker owns its claimed point or row),
+  // and all slots are merged in grid order after the workers join.
+  std::vector<PointOutcome> outcomes(width * height);
+  std::vector<char> ran(width * height, 0);
+  const auto record = [&](size_t ix, size_t iy) {
+    const PointOutcome& out = outcomes[iy * width + ix];
+    ran[iy * width + ix] = 1;
+    if (journal) {
+      SweepJournal::Entry e;
+      e.ix = ix;
+      e.iy = iy;
+      e.ffm = out.ffm;
+      e.attempts = out.attempts;
+      journal->append(e, spec.r_axis[iy], spec.u_axis[ix]);
+    }
+  };
+  // One point through the full retry loop, recorded into its slot.
+  const auto solve = [&](size_t ix, size_t iy, int worker) {
     dram::Defect defect = spec.defect;
     defect.resistance = spec.r_axis[iy];
-    if (prototype != nullptr)
-      return run_sos_robust(session_for(worker), run_spec.params.sim, defect,
-                            &line, spec.u_axis[ix], spec.sos, policy.retry,
-                            ctx_for(ix, iy), /*idle_before_observe=*/false,
-                            warm_start);
-    return run_sos_robust(run_spec.params, defect, &line, spec.u_axis[ix],
-                          spec.sos, policy.retry, ctx_for(ix, iy));
+    const RobustOutcome ro =
+        prototype != nullptr
+            ? run_sos_robust(session_for(worker), run_spec.params.sim, defect,
+                             &line, spec.u_axis[ix], spec.sos, policy.retry,
+                             ctx_for(ix, iy))
+            : run_sos_robust(run_spec.params, defect, &line, spec.u_axis[ix],
+                             spec.sos, policy.retry, ctx_for(ix, iy));
+    PointOutcome& out = outcomes[iy * width + ix];
+    out.attempts = ro.attempts;
+    out.solved = ro.solved;
+    if (ro.solved) {
+      if (ro.outcome.faulty) out.ffm = ro.outcome.ffm;
+    } else {
+      if (!policy.record_failures) throw ConvergenceError(ro.error);
+      out.ffm = Ffm::kSolveFailed;
+      out.error = ro.error;
+    }
+    record(ix, iy);
   };
 
-  const bool row_based =
-      plan.backend == spice::SolverBackend::kBatched || plan.adaptive;
-
-  if (!row_based) {
-    // Point-based dispatch (scalar dense): one runner index per pending
-    // grid point.
-    std::vector<PointOutcome> results(pending.size());
+  if (!plan.adaptive) {
+    // Point dispatch: one runner index per pending grid point.
     runner.run(pending.size(), [&](size_t k, int worker) {
-      const size_t iy = pending[k] / width;
-      const size_t ix = pending[k] % width;
-      const RobustOutcome ro = scalar_point(ix, iy, worker, plan.warm_start);
-      PointOutcome& out = results[k];
-      out.attempts = ro.attempts;
-      out.solved = ro.solved;
-      if (ro.solved) {
-        if (ro.outcome.faulty) out.ffm = ro.outcome.ffm;
-      } else {
-        if (!policy.record_failures) throw ConvergenceError(ro.error);
-        out.ffm = Ffm::kSolveFailed;
-        out.error = ro.error;
-      }
-      if (journal) {
-        SweepJournal::Entry e;
-        e.ix = ix;
-        e.iy = iy;
-        e.ffm = out.ffm;
-        e.attempts = ro.attempts;
-        journal->append(e, spec.r_axis[iy], spec.u_axis[ix]);
-      }
+      solve(pending[k] % width, pending[k] / width, worker);
     });
-
-    // Deterministic index-ordered merge: the grid cells and the stats
-    // (including failure_log order) are independent of worker scheduling.
-    for (size_t k = 0; k < pending.size(); ++k) {
-      const PointOutcome& out = results[k];
-      grid.at(pending[k] % width, pending[k] / width) = out.ffm;
-      ++stats.attempted;
-      stats.retries +=
-          static_cast<size_t>(out.attempts > 0 ? out.attempts - 1 : 0);
-      if (out.solved) {
-        ++stats.solved;
-      } else {
-        ++stats.failed;
-        stats.failure_log.push_back(out.error);
-      }
-    }
   } else {
-    // Row-based dispatch (batched backend and/or adaptive tracing): one
-    // runner index per grid row with pending points. Workers own whole
-    // rows, so the per-point outcome slots below are written by exactly
-    // one worker each.
-    std::vector<PointOutcome> outcomes(width * spec.r_axis.size());
-    std::vector<char> ran(width * spec.r_axis.size(), 0);
-    std::vector<size_t> row_ids;
-    for (size_t iy = 0; iy < spec.r_axis.size(); ++iy)
-      for (size_t ix = 0; ix < width; ++ix)
-        if (!done.at(ix, iy)) {
-          row_ids.push_back(iy);
-          break;
-        }
-    // The batched engine runs attempt-1 numerics; it refuses wall-clock
-    // watchdogs (nondeterministic), so such policies run the row scalar.
-    const spice::SimOptions attempt1 =
-        tightened_sim_options(run_spec.params.sim, policy.retry, 1);
-    const bool batch_rows = plan.backend == spice::SolverBackend::kBatched &&
-                            attempt1.max_wall_seconds <= 0.0;
-
-    runner.run(row_ids.size(), [&](size_t k, int worker) {
-      const size_t iy = row_ids[k];
-      const auto record = [&](size_t ix, const PointOutcome& out) {
-        ran[iy * width + ix] = 1;
-        if (journal) {
-          SweepJournal::Entry e;
-          e.ix = ix;
-          e.iy = iy;
-          e.ffm = out.ffm;
-          e.attempts = out.attempts;
-          journal->append(e, spec.r_axis[iy], spec.u_axis[ix]);
-        }
-      };
-      // Evaluate a set of pending columns of this row (ascending ix): one
-      // lockstep pass over all of them when the batched backend may run
-      // (injection hooks disarmed), then the scalar retry loop for every
-      // lane the lockstep pass could not solve — or for everything under
-      // the scalar backend. Journal order inside a row is ascending ix.
-      const auto evaluate = [&](const std::vector<size_t>& ixs) {
-        std::vector<char> lane_done(ixs.size(), 0);
-        // Lockstep only pays off with enough lanes to amortize the batch
-        // setup (measured crossover ~6 on the Figure 3 circuit); short
-        // waves — adaptive seeding and bisection probe 1-4 points — run
-        // faster through the scalar session. Identical results either way
-        // (that is the backend contract), so this is purely a wave-size
-        // heuristic.
-        if (batch_rows && ixs.size() >= 6 && !spice::testing::armed()) {
-          std::vector<double> us;
-          us.reserve(ixs.size());
-          for (size_t ix : ixs) us.push_back(spec.u_axis[ix]);
-          const auto lanes = session_for(worker).run_batch(
-              spec.r_axis[iy], attempt1, &line, us, spec.sos);
-          for (size_t i = 0; i < ixs.size(); ++i) {
-            if (!lanes[i].solved) continue;  // scalar fallback below
-            PointOutcome& out = outcomes[iy * width + ixs[i]];
-            out.attempts = 1;
-            out.solved = true;
-            if (lanes[i].outcome.faulty) out.ffm = lanes[i].outcome.ffm;
-            lane_done[i] = 1;
-          }
-        }
-        for (size_t i = 0; i < ixs.size(); ++i) {
-          const size_t ix = ixs[i];
-          PointOutcome& out = outcomes[iy * width + ix];
-          if (!lane_done[i]) {
-            const RobustOutcome ro =
-                scalar_point(ix, iy, worker, /*warm_start=*/false);
-            out.attempts = ro.attempts;
-            out.solved = ro.solved;
-            if (ro.solved) {
-              if (ro.outcome.faulty) out.ffm = ro.outcome.ffm;
-            } else {
-              if (!policy.record_failures) throw ConvergenceError(ro.error);
-              out.ffm = Ffm::kSolveFailed;
-              out.error = ro.error;
-            }
-          }
-          record(ix, out);
-        }
-      };
-
-      if (!plan.adaptive) {
-        std::vector<size_t> ixs;
-        for (size_t ix = 0; ix < width; ++ix)
-          if (!done.at(ix, iy)) ixs.push_back(ix);
-        evaluate(ixs);
-        return;
-      }
-
-      // Adaptive boundary tracing: seed, bisect disagreeing gaps in
-      // batchable waves, infer the interiors of agreeing gaps.
+    // Row dispatch for adaptive tracing: one runner index per grid row with
+    // pending points. Seed, bisect disagreeing gaps in waves, infer the
+    // interiors of agreeing gaps.
+    std::vector<size_t> rows;
+    for (size_t flat : pending)
+      if (rows.empty() || rows.back() != flat / width)
+        rows.push_back(flat / width);
+    runner.run(rows.size(), [&](size_t k, int worker) {
+      const size_t iy = rows[k];
       AdaptiveRowTracer tracer(width);
       for (size_t ix = 0; ix < width; ++ix)
         if (done.at(ix, iy)) tracer.set_known(ix, grid.at(ix, iy));
       for (std::vector<size_t> wave = tracer.seeds();;) {
-        if (!wave.empty()) {
-          evaluate(wave);
-          for (size_t ix : wave)
-            tracer.set_known(ix, outcomes[iy * width + ix].ffm);
+        for (size_t ix : wave) {
+          solve(ix, iy, worker);
+          tracer.set_known(ix, outcomes[iy * width + ix].ffm);
         }
         wave = tracer.bisection_wave();
         if (wave.empty()) break;
@@ -524,30 +425,31 @@ RegionMap sweep_region(const SweepSpec& spec, const ExecutionPolicy& policy) {
         out.solved = true;
         out.inferred = true;
         out.attempts = 0;
-        record(ix, out);
+        record(ix, iy);
       }
     });
+  }
 
-    // Deterministic merge in row-major grid order.
-    for (size_t iy = 0; iy < spec.r_axis.size(); ++iy)
-      for (size_t ix = 0; ix < width; ++ix) {
-        if (!ran[iy * width + ix]) continue;
-        const PointOutcome& out = outcomes[iy * width + ix];
-        grid.at(ix, iy) = out.ffm;
-        if (out.inferred) {
-          ++stats.inferred;
-          continue;
-        }
-        ++stats.attempted;
-        stats.retries +=
-            static_cast<size_t>(out.attempts > 0 ? out.attempts - 1 : 0);
-        if (out.solved) {
-          ++stats.solved;
-        } else {
-          ++stats.failed;
-          stats.failure_log.push_back(out.error);
-        }
-      }
+  // Deterministic merge in row-major grid order: the grid cells and the
+  // stats (including failure_log order) are independent of worker
+  // scheduling.
+  for (size_t flat = 0; flat < width * height; ++flat) {
+    if (!ran[flat]) continue;
+    const PointOutcome& out = outcomes[flat];
+    grid.at(flat % width, flat / width) = out.ffm;
+    if (out.inferred) {
+      ++stats.inferred;
+      continue;
+    }
+    ++stats.attempted;
+    stats.retries +=
+        static_cast<size_t>(out.attempts > 0 ? out.attempts - 1 : 0);
+    if (out.solved) {
+      ++stats.solved;
+    } else {
+      ++stats.failed;
+      stats.failure_log.push_back(out.error);
+    }
   }
   if (stats.failed > 0)
     PF_LOG_INFO("sweep degraded: " << stats.failed << " of "

@@ -101,14 +101,14 @@ RobustOutcome run_sos_robust(SosSession& session,
                              const faults::Sos& sos,
                              const RetryPolicy& policy,
                              const ExperimentContext& ctx,
-                             bool idle_before_observe, bool warm_start) {
+                             bool idle_before_observe) {
   PF_CHECK_MSG(defect.kind == session.column().defect().kind &&
                    defect.site == session.column().defect().site,
                "session compiled for a different defect topology");
   return robust_attempt_loop(
       base, policy, ctx, [&](const spice::SimOptions& tightened) {
         return session.run(defect.resistance, tightened, line, u, sos,
-                           idle_before_observe, warm_start);
+                           idle_before_observe);
       });
 }
 

@@ -1,10 +1,8 @@
 #include "pf/analysis/sos_runner.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <sstream>
 
-#include "pf/dram/batched_column.hpp"
 #include "pf/util/error.hpp"
 
 namespace pf::analysis {
@@ -29,48 +27,6 @@ void apply_initial_states(DramColumn& column, const Sos& sos) {
 
 // Steps 2-4: floating-voltage injection, operations, observation and
 // classification. The column must already carry the initializing states.
-SosOutcome observe_sos(DramColumn& column, const dram::FloatingLine* line,
-                       double u, const Sos& sos, bool idle_before_observe);
-
-}  // namespace
-
-SosOutcome run_sos_on(DramColumn& column, const dram::FloatingLine* line,
-                      double u, const Sos& sos, bool idle_before_observe) {
-  apply_initial_states(column, sos);
-  return observe_sos(column, line, u, sos, idle_before_observe);
-}
-
-namespace {
-
-// Step 4's bookkeeping, shared by the scalar and batched observers so the
-// classification rules cannot drift: fills the outcome from the observed
-// final state / last read and applies the state-fault causality rule.
-SosOutcome classify_observation(const Sos& sos, int final_state,
-                                int last_victim_read,
-                                bool last_op_is_victim_read,
-                                int pre_idle_state) {
-  SosOutcome out;
-  out.final_state = final_state;
-  out.read_result = last_op_is_victim_read ? last_victim_read : -1;
-  out.observed.sos = sos;
-  out.observed.faulty_state = out.final_state;
-  out.observed.read_result = out.read_result;
-  out.faulty = out.observed.is_fault();
-  // A state fault must be CAUSED by the memory during the idle cycle;
-  // merely retaining the injected floating voltage is not a fault of the
-  // cell's own dynamics (the injection itself encodes unknown history).
-  if (sos.ops.empty() && out.final_state == pre_idle_state) out.faulty = false;
-  if (out.faulty) out.ffm = faults::classify(out.observed);
-  return out;
-}
-
-std::string non_finite_victim_message(double victim_v) {
-  std::ostringstream os;
-  os << "non-finite victim storage voltage (" << victim_v
-     << ") before FFM classification";
-  return os.str();
-}
-
 SosOutcome observe_sos(DramColumn& column, const dram::FloatingLine* line,
                        double u, const Sos& sos, bool idle_before_observe) {
   const int victim = DramColumn::kVictim;
@@ -105,14 +61,34 @@ SosOutcome observe_sos(DramColumn& column, const dram::FloatingLine* line,
   // voltage (silently diverged solve) must surface as a retryable solver
   // failure — thresholding NaN would classify a bogus fault primitive.
   const double victim_v = column.cell_voltage(victim);
-  if (!std::isfinite(victim_v))
-    throw ConvergenceError(non_finite_victim_message(victim_v));
-  return classify_observation(sos, column.cell_logical(victim),
-                              last_victim_read, last_op_is_victim_read,
-                              pre_idle_state);
+  if (!std::isfinite(victim_v)) {
+    std::ostringstream os;
+    os << "non-finite victim storage voltage (" << victim_v
+       << ") before FFM classification";
+    throw ConvergenceError(os.str());
+  }
+  SosOutcome out;
+  out.final_state = column.cell_logical(victim);
+  out.read_result = last_op_is_victim_read ? last_victim_read : -1;
+  out.observed.sos = sos;
+  out.observed.faulty_state = out.final_state;
+  out.observed.read_result = out.read_result;
+  out.faulty = out.observed.is_fault();
+  // A state fault must be CAUSED by the memory during the idle cycle;
+  // merely retaining the injected floating voltage is not a fault of the
+  // cell's own dynamics (the injection itself encodes unknown history).
+  if (sos.ops.empty() && out.final_state == pre_idle_state) out.faulty = false;
+  if (out.faulty) out.ffm = faults::classify(out.observed);
+  return out;
 }
 
 }  // namespace
+
+SosOutcome run_sos_on(DramColumn& column, const dram::FloatingLine* line,
+                      double u, const Sos& sos, bool idle_before_observe) {
+  apply_initial_states(column, sos);
+  return observe_sos(column, line, u, sos, idle_before_observe);
+}
 
 SosOutcome run_sos(const dram::DramParams& params, const dram::Defect& defect,
                    const dram::FloatingLine* line, double u, const Sos& sos,
@@ -127,114 +103,35 @@ SosSession::SosSession(const dram::DramParams& params,
 
 SosOutcome SosSession::run(double r_def, const spice::SimOptions& options,
                            const dram::FloatingLine* line, double u,
-                           const Sos& sos, bool idle_before_observe,
-                           bool warm_start) {
+                           const Sos& sos, bool idle_before_observe) {
   // Reconfigure through the compiled template: both setters are cheap
   // no-ops when the value is already stamped, so consecutive points of one
   // grid row (same R_def, same options) reset() via snapshot restore
   // without solving anything.
   column_.set_defect_resistance(r_def);
   column_.set_sim_options(options);
-  if (warm_start) {
-    column_.power_up();  // replay from the previous experiment's end state
-    return run_sos_on(column_, line, u, sos, idle_before_observe);
-  }
-  // Cold path with post-init snapshot cache: the floating voltage is only
-  // injected AFTER the initializing writes, so across one grid row (same
-  // R_def, numerics and initial states, varying U) every experiment shares
-  // the exact post-initialization state. Restoring it replays nothing and
-  // is bit-identical to reset() + re-solved writes (deterministic engine).
-  ensure_post_init_state(r_def, options, sos);
-  return observe_sos(column_, line, u, sos, idle_before_observe);
-}
-
-void SosSession::ensure_post_init_state(double r_def,
-                                        const spice::SimOptions& options,
-                                        const Sos& sos) {
-  column_.set_defect_resistance(r_def);
-  column_.set_sim_options(options);
+  // Post-init snapshot cache: the floating voltage is only injected AFTER
+  // the initializing writes, so across one grid row (same R_def, numerics
+  // and initial states, varying U) every experiment shares the exact
+  // post-initialization state. Restoring it replays nothing and is
+  // bit-identical to reset() + re-solved writes (deterministic engine).
   if (init_valid_ && r_def == init_r_ &&
       sos.initial_victim == init_victim_ &&
       sos.initial_aggressor == init_aggressor_ &&
       spice::same_numerics(options, init_options_)) {
     column_.restore_state(init_state_);
-    return;
+  } else {
+    init_valid_ = false;  // stays false if power-up or an init write throws
+    column_.reset();  // bit-identical to a freshly built column
+    apply_initial_states(column_, sos);
+    init_state_ = column_.save_state();
+    init_options_ = options;
+    init_r_ = r_def;
+    init_victim_ = sos.initial_victim;
+    init_aggressor_ = sos.initial_aggressor;
+    init_valid_ = true;
   }
-  init_valid_ = false;  // stays false if power-up or an init write throws
-  column_.reset();  // bit-identical to a freshly built column
-  apply_initial_states(column_, sos);
-  init_state_ = column_.save_state();
-  init_options_ = options;
-  init_r_ = r_def;
-  init_victim_ = sos.initial_victim;
-  init_aggressor_ = sos.initial_aggressor;
-  init_valid_ = true;
-}
-
-std::vector<SosSession::LaneOutcome> SosSession::run_batch(
-    double r_def, const spice::SimOptions& options,
-    const dram::FloatingLine* line, const std::vector<double>& us,
-    const Sos& sos, bool idle_before_observe) {
-  // Chunk wide rows: past ~32 lanes the SoA working set outgrows cache and
-  // a single diverging lane holds up ever more neighbours.
-  constexpr size_t kMaxLanes = 32;
-  std::vector<LaneOutcome> results(us.size());
-  if (us.empty()) return results;
-  ensure_post_init_state(r_def, options, sos);
-  const int victim = DramColumn::kVictim;
-  const int aggressor = DramColumn::kAggressorSameBl;
-  for (size_t base = 0; base < us.size(); base += kMaxLanes) {
-    const size_t lanes = std::min(kMaxLanes, us.size() - base);
-    dram::BatchedColumnRun batch(column_, lanes);
-    // Every lane starts from the SAME post-init snapshot a cold scalar
-    // run() would restore — identical starting stats, so per-lane watchdog
-    // trajectories match the scalar ones exactly.
-    for (size_t l = 0; l < lanes; ++l) batch.load_state(l, init_state_);
-    if (line != nullptr)
-      for (size_t l = 0; l < lanes; ++l)
-        batch.apply_floating_voltage(l, *line, us[base + l]);
-
-    // Steps 3-4 of observe_sos, vectorized over lanes. The op sequence is
-    // lane-invariant (one SOS per row), so control flow stays shared.
-    std::vector<int> last_victim_read(lanes, -1);
-    bool last_op_is_victim_read = false;
-    for (const Op& op : sos.ops) {
-      const int addr = op.target == CellRole::kVictim ? victim : aggressor;
-      if (op.is_read()) {
-        batch.read(addr);
-        if (op.target == CellRole::kVictim)
-          for (size_t l = 0; l < lanes; ++l)
-            last_victim_read[l] = batch.read_value(l, addr);
-      } else {
-        batch.write(addr, op.write_value());
-      }
-      last_op_is_victim_read = op.is_read() && op.target == CellRole::kVictim;
-    }
-    std::vector<int> pre_idle_state(lanes, -1);
-    if (sos.ops.empty() || idle_before_observe) {
-      for (size_t l = 0; l < lanes; ++l)
-        pre_idle_state[l] = batch.cell_logical(l, victim);
-      batch.idle_cycle();
-    }
-
-    for (size_t l = 0; l < lanes; ++l) {
-      LaneOutcome& lane = results[base + l];
-      if (batch.lane_failed(l)) {
-        lane.error = batch.lane_error(l);
-        continue;
-      }
-      const double victim_v = batch.cell_voltage(l, victim);
-      if (!std::isfinite(victim_v)) {
-        lane.error = non_finite_victim_message(victim_v);
-        continue;
-      }
-      lane.outcome = classify_observation(
-          sos, batch.cell_logical(l, victim), last_victim_read[l],
-          last_op_is_victim_read, pre_idle_state[l]);
-      lane.solved = true;
-    }
-  }
-  return results;
+  return observe_sos(column_, line, u, sos, idle_before_observe);
 }
 
 }  // namespace pf::analysis

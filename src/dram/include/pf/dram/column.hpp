@@ -66,10 +66,8 @@ struct RailTarget {
 
 /// One transient segment of a DRAM operation: retarget the listed rails,
 /// advance the circuit for `duration` seconds, then (for the IO phase)
-/// latch the output buffer. DramColumn::operation_phases/idle_phases emit
-/// the schedule and both execution engines replay it — the scalar column
-/// below and the batched whole-row replay (pf/dram/batched_column.hpp) —
-/// so the sequencing cannot drift between backends.
+/// latch the output buffer. DramColumn's operations are written as a list
+/// of these phases.
 struct OpPhase {
   std::vector<RailTarget> rails;
   double duration = 0.0;
@@ -123,9 +121,8 @@ class DramColumn {
 
   /// Restamp the defect's socket resistance (ParamHandle hot path — no
   /// rebuild). Keeps the current run state: follow with reset() for a
-  /// cold start equivalent to a fresh build at the new resistance, or with
-  /// power_up() to warm-start from the present state. Requires a defect
-  /// with a socket (throws for Defect::none()).
+  /// cold start equivalent to a fresh build at the new resistance.
+  /// Requires a defect with a socket (throws for Defect::none()).
   void set_defect_resistance(double ohms);
 
   /// Swap engine options (the retry loop's per-attempt tightening hook).
@@ -148,7 +145,7 @@ class DramColumn {
   /// power-up sequence from the CURRENT state: all cells preset to logical
   /// 0, bit lines precharged, output buffer cleared, one settling cycle
   /// run. Prefer reset() — it restores a cached snapshot when possible;
-  /// power_up() always solves and is the warm-start path of R-sweeps.
+  /// power_up() always solves.
   void power_up();
 
   /// Execute a full write operation (precharge/access/sense/drive/recover).
@@ -159,17 +156,6 @@ class DramColumn {
 
   /// A precharge-only cycle (no word line raised).
   void idle_cycle();
-
-  /// The phase schedule of a full operation / an idle cycle — the single
-  /// definition of the column's sequencing, replayed by run_operation here
-  /// and by the batched whole-row engine. Pure functions of (params,
-  /// topology): no circuit state is read or written.
-  std::vector<OpPhase> operation_phases(int addr, bool is_write,
-                                        int value) const;
-  std::vector<OpPhase> idle_phases() const;
-
-  /// The compiled run state (donor for the batched backend's lanes).
-  const spice::CompiledCircuit& circuit() const { return ckt_; }
 
   /// An idle pause with everything switched off (word lines low, SA off):
   /// storage nodes decay through whatever leakage paths exist (the gmin
@@ -219,6 +205,13 @@ class DramColumn {
   }
 
  private:
+  /// The phase schedule of a full operation / an idle cycle — the single
+  /// definition of the column's sequencing. Pure functions of (params,
+  /// topology): no circuit state is read or written.
+  std::vector<OpPhase> operation_phases(int addr, bool is_write,
+                                        int value) const;
+  std::vector<OpPhase> idle_phases() const;
+
   void run_phase(double duration);
   void run_operation(int addr, bool is_write, int value);
   void latch_output_buffer();

@@ -100,12 +100,6 @@ JobSpec JobSpec::from_json(const Json& json, const JobLimits& limits) {
   job.max_attempts = int(require_integer(json, "max_attempts", 0, 10, 0));
   job.throttle_ms =
       require_number(json, "throttle_ms", 0.0, limits.max_throttle_ms, 0.0);
-  job.backend = json.string_or("backend", job.backend);
-  try {
-    (void)spice::parse_solver_backend(job.backend);
-  } catch (const pf::Error& e) {
-    reject(e.what());  // unknown backend dies at the socket, not on a worker
-  }
   if (json.has("adaptive") && !json.get("adaptive").is_bool())
     reject("adaptive must be a boolean");
   job.adaptive = json.bool_or("adaptive", job.adaptive);
@@ -133,7 +127,6 @@ Json JobSpec::to_json() const {
   obj["deadline_seconds"] = Json(deadline_seconds);
   obj["max_attempts"] = Json(max_attempts);
   obj["throttle_ms"] = Json(throttle_ms);
-  obj["backend"] = Json(backend);
   obj["adaptive"] = Json(adaptive);
   return Json(std::move(obj));
 }
@@ -188,7 +181,6 @@ analysis::ExecutionPolicy JobSpec::to_policy() const {
   policy.threads = threads;
   if (max_attempts > 0) policy.retry.max_attempts = max_attempts;
   policy.deadline_seconds = deadline_seconds;
-  policy.plan.backend = spice::parse_solver_backend(backend);
   policy.plan.adaptive = adaptive;
   return policy;
 }

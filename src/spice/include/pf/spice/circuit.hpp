@@ -81,7 +81,6 @@ class CircuitTemplate {
 
  private:
   friend class CompiledCircuit;
-  friend class BatchedTransient;  // lockstep backend (solver_backend.hpp)
 
   void build_symbolic();
 
@@ -245,10 +244,6 @@ class CompiledCircuit {
   void reset_to_initial();
 
  private:
-  // The batched backend seeds its lanes from a donor run state (template,
-  // options, parameter values) without widening the public API.
-  friend class BatchedTransient;
-
   // Dense engine (verbatim port of the original Simulator: circuits with
   // voltage sources keep bit-identical numerics).
   void load_system_dense(double h, const std::vector<double>& v_prev,

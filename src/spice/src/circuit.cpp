@@ -8,16 +8,42 @@
 #include <sstream>
 
 #include "pf/spice/fault_injection.hpp"
-#include "engine_internal.hpp"
 
 namespace pf::spice {
+namespace {
 
-// Both transient engines (this scalar one and the batched lockstep backend)
-// share the square-law evaluation and the pivot floor via engine_internal.hpp
-// so their numerics cannot drift apart.
-using detail::MosEval;
-using detail::eval_square_law;
-using detail::kMinPivot;
+/// Square-law drain current and small-signal parameters, NMOS convention,
+/// evaluated for vds >= 0 (callers normalize polarity/type first).
+struct MosEval {
+  double ids = 0.0;
+  double gm = 0.0;
+  double gds = 0.0;
+};
+
+inline MosEval eval_square_law(double vgs, double vds, const MosParams& p) {
+  MosEval e;
+  const double vov = vgs - p.vt;
+  if (vov <= 0.0) return e;  // cutoff
+  const double clm = 1.0 + p.lambda * vds;
+  if (vds < vov) {
+    // Triode region.
+    const double core = vov * vds - 0.5 * vds * vds;
+    e.ids = p.k * core * clm;
+    e.gm = p.k * vds * clm;
+    e.gds = p.k * (vov - vds) * clm + p.k * core * p.lambda;
+  } else {
+    // Saturation.
+    const double core = 0.5 * vov * vov;
+    e.ids = p.k * core * clm;
+    e.gm = p.k * vov * clm;
+    e.gds = p.k * core * p.lambda;
+  }
+  return e;
+}
+
+constexpr double kMinPivot = 1e-30;
+
+}  // namespace
 
 bool same_numerics(const SimOptions& a, const SimOptions& b) {
   return a.dt_min == b.dt_min && a.dt_max == b.dt_max &&

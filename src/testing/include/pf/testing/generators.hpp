@@ -18,7 +18,7 @@
 //   * random_case assembles a full differential experiment: an open-defect
 //     site, an SOS, a small (R_def, U) grid inside the site's physically
 //     meaningful resistance range, and an execution mode (threads, circuit
-//     reuse, warm start).
+//     reuse).
 #pragma once
 
 #include <cstdint>
@@ -107,7 +107,6 @@ struct FuzzCase {
   std::vector<double> u_axis;  ///< ascending floating voltages
   int threads = 1;
   analysis::CircuitMode circuit = analysis::CircuitMode::kReuse;
-  bool warm_start = false;
 
   dram::DramParams params() const { return apply_tweaks(tweaks); }
   dram::Defect defect() const;

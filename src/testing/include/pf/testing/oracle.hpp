@@ -10,7 +10,7 @@
 //      referee run is immune to any armed plan: a planted classification
 //      mutation (kCorruptVoltage on a grid-point key) corrupts the sweep but
 //      not the referee, and the disagreement convicts it. The same check is
-//      the kReuse-vs-kRebuild / warm-start metamorphic invariant for free.
+//      the kReuse-vs-kRebuild metamorphic invariant for free.
 //   2. taxonomy audit — per faulty cell the observed fault primitive must
 //      classify back to the cell's FFM, and partial/full status reported by
 //      identify_partial_faults must match the band-coverage rule

@@ -240,8 +240,7 @@ std::string FuzzCase::describe() const {
     os << (i ? ", " : "") << u_axis[i];
   os << "], line=" << floating_line_index << ", threads=" << threads
      << ", circuit="
-     << (circuit == analysis::CircuitMode::kReuse ? "reuse" : "rebuild")
-     << (warm_start ? "+warm" : "");
+     << (circuit == analysis::CircuitMode::kReuse ? "reuse" : "rebuild");
   for (const ParamTweak& t : tweaks)
     os << ", " << t.field << "*=" << t.factor;
   return os.str();
@@ -329,7 +328,6 @@ FuzzCase random_case(Rng& rng, const CaseGenConfig& cfg) {
   c.tweaks = random_tweaks(rng, cfg.max_tweaks);
   const dram::DramParams p = apply_tweaks(c.tweaks);
   c.u_axis = pf::linspace(0.0, p.vdd, nu);
-  c.warm_start = false;
   c.circuit = analysis::CircuitMode::kReuse;
   return c;
 }

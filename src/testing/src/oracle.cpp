@@ -161,7 +161,6 @@ TrialResult run_differential_trial(const FuzzCase& c,
   analysis::ExecutionPolicy policy;
   policy.threads = c.threads;
   policy.plan.circuit_mode = c.circuit;
-  policy.plan.warm_start = c.warm_start;
   policy.retry = opts.retry;
   const analysis::RegionMap map = sweep_region(spec, policy);
 

@@ -20,16 +20,11 @@ bool try_candidate(FuzzCase& current, const FuzzCase& candidate,
 /// any candidate was accepted (the caller restarts until a fixpoint).
 bool shrink_pass(FuzzCase& c, const FailPredicate& still_fails,
                  ShrinkResult& result) {
-  // Execution-mode normalization: the minimal repro should be serial,
-  // cold-started and on the default circuit path.
+  // Execution-mode normalization: the minimal repro should be serial and
+  // on the default circuit path.
   if (c.threads != 1) {
     FuzzCase cand = c;
     cand.threads = 1;
-    if (try_candidate(c, cand, still_fails, result)) return true;
-  }
-  if (c.warm_start) {
-    FuzzCase cand = c;
-    cand.warm_start = false;
     if (try_candidate(c, cand, still_fails, result)) return true;
   }
   if (c.circuit != analysis::CircuitMode::kReuse) {

@@ -1,10 +1,9 @@
-// Golden equivalence of the execution engine across the whole plan matrix:
-// {scalar, batched} backends x {dense, adaptive} sweep modes x {1, N}
-// worker threads must reproduce the per-point rebuild path's map — the
-// dense modes bit for bit (same CSV, same rendering, same stats), the
-// adaptive modes boundary-identically (same grid, with inferred points in
-// the stats) — with the fault-injection and journal machinery layered on
-// top of every combination.
+// Golden equivalence of the execution engine across the plan matrix:
+// {dense, adaptive} sweep modes x {1, N} worker threads must reproduce the
+// per-point rebuild path's map — the dense mode bit for bit (same CSV, same
+// rendering, same stats), the adaptive mode boundary-identically (same
+// grid, with inferred points in the stats) — with the fault-injection and
+// journal machinery layered on top.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -24,7 +23,6 @@ using dram::DramParams;
 using dram::OpenSite;
 using faults::Ffm;
 using faults::Sos;
-using spice::SolverBackend;
 using spice::testing::InjectedFault;
 using spice::testing::InjectionSpec;
 using spice::testing::ScopedFaultPlan;
@@ -67,25 +65,20 @@ void expect_equivalent(const RegionMap& reference, const RegionMap& map,
 TEST(CircuitReuse, ReuseIsBitIdenticalToRebuildAtAnyThreadCount) {
   // THE golden-equivalence property of the compile-once refactor, on both a
   // read SOS and an operation-free state-fault SOS (which exercises the
-  // idle-cycle observation path), for BOTH solver backends: the batched
-  // dense sweep must land on the same map, stats included.
+  // idle-cycle observation path): the reused sweep must land on the same
+  // map, stats included.
   for (const char* sos : {"1r1", "1"}) {
     const SweepSpec spec = small_spec(sos);
     const RegionMap reference = rebuild_reference(spec);
     EXPECT_EQ(reference.failed_points(), 0u) << sos;
-    for (SolverBackend backend :
-         {SolverBackend::kScalar, SolverBackend::kBatched}) {
-      for (int threads : {1, 4}) {
-        ExecutionPolicy reuse;
-        reuse.threads = threads;
-        reuse.plan.circuit_mode = CircuitMode::kReuse;
-        reuse.plan.backend = backend;
-        const RegionMap map = sweep_region(spec, reuse);
-        expect_equivalent(reference, map,
-                          std::string(sos) + " @threads=" +
-                              std::to_string(threads) + " backend=" +
-                              spice::solver_backend_name(backend));
-      }
+    for (int threads : {1, 4}) {
+      ExecutionPolicy reuse;
+      reuse.threads = threads;
+      reuse.plan.circuit_mode = CircuitMode::kReuse;
+      const RegionMap map = sweep_region(spec, reuse);
+      expect_equivalent(reference, map,
+                        std::string(sos) + " @threads=" +
+                            std::to_string(threads));
     }
   }
 }
@@ -93,32 +86,26 @@ TEST(CircuitReuse, ReuseIsBitIdenticalToRebuildAtAnyThreadCount) {
 TEST(CircuitReuse, AdaptiveTracingMatchesTheDenseMap) {
   // Adaptive boundary tracing must land on the same GRID as the dense
   // sweep (bands at this resolution are wider than the seed stride) while
-  // actually inferring points instead of solving them — under both
-  // backends and thread counts.
+  // actually inferring points instead of solving them — at any thread
+  // count.
   const SweepSpec spec = wide_spec();
   const RegionMap reference = rebuild_reference(spec);
   ASSERT_EQ(reference.failed_points(), 0u);
-  for (SolverBackend backend :
-       {SolverBackend::kScalar, SolverBackend::kBatched}) {
-    for (int threads : {1, 4}) {
-      ExecutionPolicy adaptive;
-      adaptive.threads = threads;
-      adaptive.plan.backend = backend;
-      adaptive.plan.adaptive = true;
-      const RegionMap map = sweep_region(spec, adaptive);
-      const std::string what =
-          std::string("threads=") + std::to_string(threads) + " backend=" +
-          spice::solver_backend_name(backend);
-      EXPECT_EQ(reference.to_csv(), map.to_csv()) << what;
-      EXPECT_EQ(reference.render("t"), map.render("t")) << what;
-      EXPECT_GT(map.solve_stats().inferred, 0u) << what;
-      EXPECT_LT(map.solve_stats().attempted,
-                spec.r_axis.size() * spec.u_axis.size())
-          << what << ": adaptive mode must not evaluate the full grid";
-      EXPECT_EQ(map.solve_stats().attempted + map.solve_stats().inferred,
-                spec.r_axis.size() * spec.u_axis.size())
-          << what;
-    }
+  for (int threads : {1, 4}) {
+    ExecutionPolicy adaptive;
+    adaptive.threads = threads;
+    adaptive.plan.adaptive = true;
+    const RegionMap map = sweep_region(spec, adaptive);
+    const std::string what = "threads=" + std::to_string(threads);
+    EXPECT_EQ(reference.to_csv(), map.to_csv()) << what;
+    EXPECT_EQ(reference.render("t"), map.render("t")) << what;
+    EXPECT_GT(map.solve_stats().inferred, 0u) << what;
+    EXPECT_LT(map.solve_stats().attempted,
+              spec.r_axis.size() * spec.u_axis.size())
+        << what << ": adaptive mode must not evaluate the full grid";
+    EXPECT_EQ(map.solve_stats().attempted + map.solve_stats().inferred,
+              spec.r_axis.size() * spec.u_axis.size())
+        << what;
   }
 }
 
@@ -160,67 +147,35 @@ TEST(CircuitReuse, SessionRunMatchesFreshRunSosAcrossRestamps) {
   }
 }
 
-TEST(CircuitReuse, RunBatchMatchesScalarSessionRuns) {
-  // The sweep backend's unit of work, checked directly: one run_batch call
-  // over a row of U lanes vs one scalar session run per lane.
-  const SweepSpec spec = small_spec();
-  const auto lines = dram::floating_lines_for(spec.defect, spec.params);
-  ASSERT_FALSE(lines.empty());
-  SosSession scalar_session(spec.params, spec.defect);
-  SosSession batch_session(spec.params, spec.defect);
-  const std::vector<double> us = {0.0, 1.1, 2.2, 3.3};
-  for (double r : spec.r_axis) {
-    const auto lanes = batch_session.run_batch(r, spec.params.sim, &lines[0],
-                                               us, spec.sos);
-    ASSERT_EQ(lanes.size(), us.size());
-    for (size_t l = 0; l < us.size(); ++l) {
-      ASSERT_TRUE(lanes[l].solved) << lanes[l].error;
-      const SosOutcome ref =
-          scalar_session.run(r, spec.params.sim, &lines[0], us[l], spec.sos);
-      EXPECT_EQ(lanes[l].outcome.final_state, ref.final_state)
-          << r << " " << us[l];
-      EXPECT_EQ(lanes[l].outcome.read_result, ref.read_result)
-          << r << " " << us[l];
-      EXPECT_EQ(lanes[l].outcome.faulty, ref.faulty) << r << " " << us[l];
-      EXPECT_EQ(lanes[l].outcome.ffm, ref.ffm) << r << " " << us[l];
-    }
-  }
-}
-
 TEST(CircuitReuse, InjectedFaultsRetryIdenticallyThroughReuse) {
   // The deterministic injection harness must behave exactly as on the
   // rebuild path: one injection per failed attempt, full recovery inside
-  // the budget, bit-identical final map. With the batched backend armed
-  // injection routes the affected rows through the scalar retry loop, so
-  // the counts are identical there too.
+  // the budget, bit-identical final map.
   const SweepSpec spec = small_spec();
   const RegionMap clean = rebuild_reference(spec);
 
-  for (SolverBackend backend :
-       {SolverBackend::kScalar, SolverBackend::kBatched}) {
-    InjectionSpec fail_twice;
-    fail_twice.kind = InjectedFault::kNonConvergence;
-    fail_twice.fail_attempts = 2;
-    ScopedFaultPlan plan({{grid_point_key(1, 0), fail_twice},
-                          {grid_point_key(3, 2), fail_twice}});
-    ExecutionPolicy reuse;
-    reuse.retry.max_attempts = 3;
-    reuse.plan.backend = backend;
-    ASSERT_EQ(reuse.plan.circuit_mode, CircuitMode::kReuse);
-    const RegionMap map = sweep_region(spec, reuse);
+  InjectionSpec fail_twice;
+  fail_twice.kind = InjectedFault::kNonConvergence;
+  fail_twice.fail_attempts = 2;
+  ScopedFaultPlan plan({{grid_point_key(1, 0), fail_twice},
+                        {grid_point_key(3, 2), fail_twice}});
+  ExecutionPolicy reuse;
+  reuse.retry.max_attempts = 3;
+  ASSERT_EQ(reuse.plan.circuit_mode, CircuitMode::kReuse);
+  const RegionMap map = sweep_region(spec, reuse);
 
-    EXPECT_EQ(map.failed_points(), 0u);
-    EXPECT_EQ(map.to_csv(), clean.to_csv());
-    EXPECT_EQ(map.solve_stats().retries, 4u);
-    EXPECT_EQ(spice::testing::injections_performed(), 4u);
-  }
+  EXPECT_EQ(map.failed_points(), 0u);
+  EXPECT_EQ(map.to_csv(), clean.to_csv());
+  EXPECT_EQ(map.solve_stats().retries, 4u);
+  EXPECT_EQ(spice::testing::injections_performed(), 4u);
 }
 
-TEST(CircuitReuse, JournalResumeThroughBatchedRows) {
-  // Interrupted-run shape across backends: a journaled sweep degrades two
-  // injected points, then a second parallel BATCHED run resumes the
-  // journal, re-runs only those two (as one-lane rows) and lands on the
-  // rebuild path's clean map.
+TEST(CircuitReuse, JournalResumeThroughAdaptiveRows) {
+  // Interrupted-run shape across dispatch modes: a journaled dense sweep
+  // degrades two injected points, then a second parallel ADAPTIVE run
+  // resumes the journal through row dispatch, re-runs only those two and
+  // lands on the rebuild path's clean map. Both points are row ends, i.e.
+  // adaptive seeds, so the resumed run solves them rather than inferring.
   const SweepSpec spec = small_spec();
   const RegionMap clean = rebuild_reference(spec);
   const std::string path =
@@ -232,11 +187,10 @@ TEST(CircuitReuse, JournalResumeThroughBatchedRows) {
     dead.kind = InjectedFault::kNonConvergence;
     dead.fail_attempts = 100;
     ScopedFaultPlan plan({{grid_point_key(0, 0), dead},
-                          {grid_point_key(2, 1), dead}});
+                          {grid_point_key(3, 1), dead}});
     ExecutionPolicy opt;
     opt.retry.max_attempts = 2;
     opt.journal_path = path;
-    opt.plan.backend = SolverBackend::kBatched;
     const RegionMap map = sweep_region(spec, opt);
     EXPECT_EQ(map.failed_points(), 2u);
   }
@@ -244,10 +198,11 @@ TEST(CircuitReuse, JournalResumeThroughBatchedRows) {
     ExecutionPolicy opt;
     opt.threads = 4;
     opt.journal_path = path;
-    opt.plan.backend = SolverBackend::kBatched;
+    opt.plan.adaptive = true;
     const RegionMap map = sweep_region(spec, opt);
     EXPECT_EQ(map.solve_stats().resumed, 10u);
     EXPECT_EQ(map.solve_stats().attempted, 2u);
+    EXPECT_EQ(map.solve_stats().inferred, 0u);
     EXPECT_EQ(map.failed_points(), 0u);
     EXPECT_EQ(map.to_csv(), clean.to_csv());
   }
@@ -255,7 +210,7 @@ TEST(CircuitReuse, JournalResumeThroughBatchedRows) {
 }
 
 TEST(CircuitReuse, AdaptiveJournalResumesIntoDenseAndBack) {
-  // A journal written by an adaptive batched sweep (evaluated points with
+  // A journal written by an adaptive sweep (evaluated points with
   // attempts >= 1, inferred points with attempts = 0) must resume into a
   // dense scalar rerun with nothing left to do — the maps agree, so the
   // rerun is a pure restore.
@@ -267,7 +222,6 @@ TEST(CircuitReuse, AdaptiveJournalResumesIntoDenseAndBack) {
   {
     ExecutionPolicy opt;
     opt.journal_path = path;
-    opt.plan.backend = SolverBackend::kBatched;
     opt.plan.adaptive = true;
     const RegionMap map = sweep_region(spec, opt);
     EXPECT_EQ(map.to_csv(), clean.to_csv());
@@ -303,15 +257,6 @@ TEST(CircuitReuse, CompletionSearchVerdictMatchesRebuild) {
   EXPECT_EQ(rebuild.sos_runs, reuse.sos_runs);  // serial: exact counts
   if (rebuild.possible) {
     EXPECT_EQ(rebuild.completed.to_string(), reuse.completed.to_string());
-  }
-
-  // The batched backend probes whole rows at once, so early-exit run counts
-  // differ by design; the VERDICT must not.
-  spec.exec.plan.backend = SolverBackend::kBatched;
-  const CompletionResult batched = search_completing_ops(spec);
-  EXPECT_EQ(rebuild.possible, batched.possible);
-  if (rebuild.possible) {
-    EXPECT_EQ(rebuild.completed.to_string(), batched.completed.to_string());
   }
 }
 

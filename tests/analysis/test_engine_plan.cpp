@@ -1,64 +1,11 @@
-// The EnginePlan API contract: resolved_plan pass-through and validation
-// (EnginePlan is the only spelling — the PR 8 deprecated circuit/warm_start
-// shims are gone), the batched-requires-reuse invariant, and the
-// SosSession::set_sim_options override travelling through clone() (the
-// per-worker fan-out path).
+// The SosSession::set_sim_options override travelling through clone() (the
+// per-worker fan-out path of every EnginePlan).
 #include <gtest/gtest.h>
 
-#include "pf/analysis/execution.hpp"
-#include "pf/analysis/region.hpp"
 #include "pf/analysis/sos_runner.hpp"
-#include "pf/util/error.hpp"
 
 namespace pf::analysis {
 namespace {
-
-using spice::SolverBackend;
-
-TEST(EnginePlan, ResolvedPlanPassesThroughExplicitPlanFields) {
-  ExecutionPolicy policy;
-  EnginePlan plan = resolved_plan(policy);
-  EXPECT_EQ(plan.backend, SolverBackend::kScalar);
-  EXPECT_EQ(plan.circuit_mode, CircuitMode::kReuse);
-  EXPECT_FALSE(plan.warm_start);
-  EXPECT_FALSE(plan.adaptive);
-
-  policy.plan.backend = SolverBackend::kBatched;
-  policy.plan.warm_start = true;
-  policy.plan.adaptive = true;
-  plan = resolved_plan(policy);
-  EXPECT_EQ(plan.backend, SolverBackend::kBatched);
-  EXPECT_TRUE(plan.warm_start);
-  EXPECT_TRUE(plan.adaptive);
-}
-
-TEST(EnginePlan, ExplicitPlanIsPreservedVerbatim) {
-  // With the deprecated loose fields gone, resolved_plan is pure
-  // pass-through + validation: an explicit plan must come back verbatim.
-  ExecutionPolicy planned;
-  planned.plan.circuit_mode = CircuitMode::kRebuild;
-  planned.plan.warm_start = true;
-  EXPECT_EQ(resolved_plan(planned).circuit_mode, CircuitMode::kRebuild);
-  EXPECT_TRUE(resolved_plan(planned).warm_start);
-}
-
-TEST(EnginePlan, BatchedBackendRequiresCircuitReuse) {
-  // Lanes of a batched row are seeded from one shared compiled session;
-  // there is no per-point rebuild to speak of, so the combination is an
-  // error at plan-resolution time, before any circuit is built.
-  ExecutionPolicy policy;
-  policy.plan.backend = SolverBackend::kBatched;
-  policy.plan.circuit_mode = CircuitMode::kRebuild;
-  EXPECT_THROW(resolved_plan(policy), pf::Error);
-
-  SweepSpec spec;
-  spec.params = dram::DramParams{};
-  spec.defect = dram::Defect::open(dram::OpenSite::kBitLineOuter, 1e6);
-  spec.sos = faults::Sos::parse("1r1");
-  spec.r_axis = {1e6};
-  spec.u_axis = {0.0, 3.3};
-  EXPECT_THROW(sweep_region(spec, policy), pf::Error);
-}
 
 TEST(EnginePlan, SetSimOptionsIsCarriedIntoClones) {
   // The session-level options override must survive clone(): the parallel

@@ -55,26 +55,21 @@ TEST(FuzzDifferential, GridIsBitIdenticalAcrossExecutionModes) {
   for (int i = 0; i < iters; ++i) {
     const FuzzCase c = random_case(rng);
     const analysis::SweepSpec spec = c.sweep_spec();
-    analysis::ExecutionPolicy reference;  // serial, reuse, cold
+    analysis::ExecutionPolicy reference;  // serial, reuse
     const auto base = sweep_region(spec, reference);
 
     analysis::ExecutionPolicy threaded;
     threaded.threads = 3;
     analysis::ExecutionPolicy rebuild;
     rebuild.plan.circuit_mode = analysis::CircuitMode::kRebuild;
-    analysis::ExecutionPolicy warm;
-    warm.plan.warm_start = true;
-    analysis::ExecutionPolicy batched;
-    batched.plan.backend = spice::SolverBackend::kBatched;
-    for (const auto* policy : {&threaded, &rebuild, &warm, &batched}) {
+    for (const auto* policy : {&threaded, &rebuild}) {
       const auto other = sweep_region(spec, *policy);
       ASSERT_EQ(base.grid().data(), other.grid().data())
           << c.describe() << " (threads=" << policy->threads << ", circuit="
           << (policy->plan.circuit_mode == analysis::CircuitMode::kReuse
                   ? "reuse"
                   : "rebuild")
-          << ", warm=" << policy->plan.warm_start << ", backend="
-          << spice::solver_backend_name(policy->plan.backend) << ")";
+          << ")";
     }
   }
 }

@@ -19,7 +19,6 @@ FuzzCase big_case() {
   c.r_axis = {1e4, 1e5, 1e6};
   c.u_axis = {0.0, 1.1, 2.2, 3.3};
   c.threads = 3;
-  c.warm_start = true;
   c.circuit = analysis::CircuitMode::kRebuild;
   c.tweaks = {{"c_cell", 0.9}, {"t_sense", 1.1}};
   return c;
@@ -65,7 +64,6 @@ TEST(FuzzShrink, NormalizesExecutionMode) {
   const auto fails = [](const FuzzCase&) { return true; };  // always fails
   const ShrinkResult r = shrink_case(big_case(), fails);
   EXPECT_EQ(r.minimal.threads, 1);
-  EXPECT_FALSE(r.minimal.warm_start);
   EXPECT_EQ(r.minimal.circuit, analysis::CircuitMode::kReuse);
   EXPECT_EQ(r.minimal.r_axis.size(), 1u);
   EXPECT_EQ(r.minimal.u_axis.size(), 1u);

@@ -40,16 +40,13 @@ TEST(JobSpec, JsonRoundTripIsExact) {
   job.threads = 4;
   job.deadline_seconds = 10.5;
   job.throttle_ms = 2.5;
-  job.backend = "batched";
   job.adaptive = true;
   const JobSpec back = JobSpec::from_json(job.to_json());
   EXPECT_EQ(back.to_json().dump(), job.to_json().dump());
   EXPECT_EQ(back.cache_key(), job.cache_key());
-  EXPECT_EQ(back.backend, "batched");
   EXPECT_TRUE(back.adaptive);
   // ...and the execution plan the workers see reflects the wire fields.
   const analysis::ExecutionPolicy policy = back.to_policy();
-  EXPECT_EQ(policy.plan.backend, spice::SolverBackend::kBatched);
   EXPECT_TRUE(policy.plan.adaptive);
 }
 
@@ -76,25 +73,24 @@ TEST(JobSpec, AdmissionRejectsOutOfBoundsRequests) {
   // nothing to sweep and admission says so upfront.
   EXPECT_THROW(parse(R"({"defect_kind":"bridge"})"), pf::ParseError);
   EXPECT_THROW(parse("[1,2,3]"), pf::ParseError);
-  // An unknown solver backend dies at the socket, not on a worker thread;
   // adaptive must be an actual boolean, not a truthy string.
-  EXPECT_THROW(parse(R"({"backend":"simd"})"), pf::ParseError);
   EXPECT_THROW(parse(R"({"adaptive":"yes"})"), pf::ParseError);
 }
 
-TEST(JobSpec, CacheKeyIsSolverBackendInvariant) {
-  // Batched dense sweeps are bit-identical to scalar ones (the batched
-  // engine's contract, gated in tests/analysis), so the backend is an
-  // execution knob: two jobs differing only in backend/adaptive must share
-  // one cache entry. Structural, not incidental — cache_key() fingerprints
-  // to_sweep_spec(), which the backend fields never enter.
-  const JobSpec scalar = tiny_job();
-  JobSpec batched = scalar;
-  batched.backend = "batched";
-  EXPECT_EQ(scalar.cache_key(), batched.cache_key());
-  JobSpec adaptive = batched;
-  adaptive.adaptive = true;
-  EXPECT_EQ(scalar.cache_key(), adaptive.cache_key());
+TEST(JobSpec, LegacyBackendKeyIsIgnored) {
+  // Older clients and stored campaign specs may still carry the retired
+  // "backend" field ("scalar" or "batched"). from_json reads only the keys
+  // it knows, so such a payload admits as the same job: same cache key,
+  // same wire encoding, and existing cache entries stay addressable.
+  const std::string base =
+      R"("defect_kind":"open","open_site":4,"r_points":2,"u_points":2)";
+  const JobSpec plain = JobSpec::from_json(Json::parse("{" + base + "}"));
+  for (const char* legacy : {"scalar", "batched"}) {
+    const JobSpec old = JobSpec::from_json(Json::parse(
+        "{" + base + R"(,"backend":")" + legacy + "\"}"));
+    EXPECT_EQ(old.cache_key(), plain.cache_key()) << legacy;
+    EXPECT_EQ(old.to_json().dump(), plain.to_json().dump()) << legacy;
+  }
 }
 
 TEST(JobSpec, CacheKeyTracksResultIdentityNotExecutionKnobs) {
@@ -105,6 +101,9 @@ TEST(JobSpec, CacheKeyTracksResultIdentityNotExecutionKnobs) {
   JobSpec throttled = base;
   throttled.throttle_ms = 5;
   EXPECT_EQ(base.cache_key(), throttled.cache_key());
+  JobSpec adaptive = base;
+  adaptive.adaptive = true;
+  EXPECT_EQ(base.cache_key(), adaptive.cache_key());
 
   JobSpec hot = base;
   hot.temperature_c = 85.0;  // changes the result: different entry
