@@ -192,15 +192,18 @@ int main(int argc, char** argv) {
         }
         const auto comp = analysis::search_completing_ops(cspec);
         if (comp.possible) {
-          std::printf("    completed as %s  (%d candidates, %llu runs)\n",
+          std::printf("    completed as %s  (%d candidates",
                       comp.completed.to_string().c_str(),
-                      comp.candidates_evaluated,
-                      static_cast<unsigned long long>(comp.sos_runs));
+                      comp.candidates_evaluated);
         } else {
           std::printf("    completing operations: Not possible "
-                      "(%d candidates tried)\n",
+                      "(%d candidates tried",
                       comp.candidates_evaluated);
         }
+        std::printf(", %llu runs, %llu steps solved, %llu prefix restores)\n",
+                    static_cast<unsigned long long>(comp.sos_runs),
+                    static_cast<unsigned long long>(comp.steps_solved),
+                    static_cast<unsigned long long>(comp.prefix_restores));
       }
       std::printf("\n");
     }

@@ -38,11 +38,12 @@ PF_FUZZ_ITERS="$FUZZ_ITERS" \
   ctest --test-dir "$BUILD" -L tier2-fuzz --output-on-failure
 
 # Golden A/B suites under ASan+UBSan: the word-parallel PlaneMemory's raw
-# bit-plane indexing and lane masks, and the engine-plan matrix (reuse vs
-# rebuild, dense vs adaptive), are the places where out-of-bounds or UB
-# could hide behind passing bit-identity checks. Build a separate sanitized
-# tree (PF_SANITIZE plumbs into -fsanitize=) and run exactly the suites
-# that drive both sides of each A/B over the same grids/populations.
+# bit-plane indexing and lane masks, the engine-plan matrix (reuse vs
+# rebuild, dense vs adaptive) and the completion search's snapshot trie
+# (prefix slicing of candidate SOSes) are the places where out-of-bounds
+# or UB could hide behind passing bit-identity checks. Build a separate
+# sanitized tree (PF_SANITIZE plumbs into -fsanitize=) and run exactly the
+# suites that drive both sides of each A/B over the same grids/populations.
 # PF_SKIP_SANITIZE=1 opts out of this and the TSan stage (e.g. toolchains
 # without libasan/libtsan).
 if [[ "${PF_SKIP_SANITIZE:-0}" != "1" ]]; then
@@ -52,7 +53,7 @@ if [[ "${PF_SKIP_SANITIZE:-0}" != "1" ]]; then
   cmake --build "$SAN_BUILD" -j "$JOBS" \
     --target test_dram test_analysis test_memsim test_march test_fuzz
   ctest --test-dir "$SAN_BUILD" --output-on-failure -j "$JOBS" \
-    -R 'CircuitReuse|EnginePlan|PlaneMemory|PopulationAB'
+    -R 'CircuitReuse|CompletionPrefixSharing|EnginePlan|PlaneMemory|PopulationAB'
 
   # SearchAB: the march-search optimizer mutates candidate tests in a hot
   # loop (element/op erase + crossover splices) and walks per-unit
@@ -66,14 +67,16 @@ if [[ "${PF_SKIP_SANITIZE:-0}" != "1" ]]; then
 
   # Grid dispatch under ThreadSanitizer: ParallelGridRunner's atomic cursor,
   # per-index outcome slots, serialized journal appends and progress
-  # callback, cooperative cancellation, and the point and adaptive-row
-  # dispatch of sweep_region, all run with real worker threads.
+  # callback, cooperative cancellation, the point and adaptive-row
+  # dispatch of sweep_region, and the completion search's per-candidate
+  # dispatch (atomic lowest-accepted index, per-worker snapshot tries), all
+  # run with real worker threads.
   TSAN_BUILD="${BUILD}-tsan"
   echo "== grid dispatch under ThreadSanitizer (${TSAN_BUILD})"
   cmake -B "$TSAN_BUILD" -S . -DPF_SANITIZE=thread >/dev/null
   cmake --build "$TSAN_BUILD" -j "$JOBS" --target test_analysis
   ctest --test-dir "$TSAN_BUILD" --output-on-failure -j "$JOBS" \
-    -R 'ParallelSweep|SweepCancellation|CircuitReuse|ExecutionPolicy_'
+    -R 'ParallelSweep|SweepCancellation|CircuitReuse|ExecutionPolicy_|ParallelCompletion|ParallelTable1|CompletionPrefixSharing'
 fi
 
 echo "== ci gate passed"

@@ -26,8 +26,10 @@ struct CompletionSpec {
   std::vector<double> probe_u;       ///< floating voltages it must cover
   int max_prefix_ops = 3;
   /// Execution of the probe experiments: exec.retry is the per-probe solver
-  /// retry/backoff; exec.threads > 1 evaluates each candidate's probe grid
-  /// in parallel (the verdict — accepted, rejected, completed FP — is
+  /// retry/backoff; exec.threads > 1 evaluates the candidates of one prefix
+  /// length in parallel, each worker running its candidate's probes in
+  /// order, and commits the lowest-index accepted candidate (the verdict —
+  /// accepted, rejected, completed FP, candidates_evaluated — is
   /// thread-count independent; journal/record_failures are ignored here).
   /// `exec.cancel` aborts the search with pf::CancelledError.
   ExecutionPolicy exec;
@@ -37,16 +39,24 @@ struct CompletionResult {
   bool possible = false;
   faults::FaultPrimitive completed;  ///< base with the completing bracket
   int candidates_evaluated = 0;
-  /// Electrical experiments performed. Exact for serial runs; with
-  /// exec.threads > 1 probes already in flight when a candidate is
-  /// rejected still count, so the tally may differ slightly between
-  /// thread counts (the verdict never does).
+  /// Electrical experiments performed. Exact and thread-count independent
+  /// for serial runs; with exec.threads > 1 it also counts the speculative
+  /// probes of candidates above the committed one that were in flight when
+  /// it was accepted.
   uint64_t sos_runs = 0;
   /// Probe experiments unsolved after retries. The search degrades
   /// gracefully: an unsolvable probe rejects the candidate (a completion
   /// must be *demonstrated*, never assumed), so a nonzero count means
   /// "Not possible" verdicts may be pessimistic.
   uint64_t solver_failures = 0;
+  /// Engine steps the probe sessions actually solved; the trajectory they
+  /// restored from snapshots (power-up, initializing writes, shared
+  /// completing prefixes) is excluded. CircuitMode::kRebuild probes are
+  /// not counted. Like sos_runs, exact only for serial runs.
+  uint64_t steps_solved = 0;
+  /// Probes that resumed from a completing-write prefix an earlier
+  /// candidate had solved at the same probe point (prefix length >= 2).
+  uint64_t prefix_restores = 0;
 };
 
 /// Probe rows for a completion search: up to `max_rows` R_def values where

@@ -76,7 +76,7 @@ struct ExecutionPolicy {
   /// both fields are set and plan.circuit_mode == kReuse, sweep_region
   /// borrows a previously compiled SosSession for `session_family` from the
   /// cache instead of compiling from scratch, and returns it (with its
-  /// post-initialization snapshot cache intact) when the sweep completes.
+  /// snapshot trie intact) when the sweep completes.
   /// Campaign runners set the family to a key covering everything that
   /// affects compilation (defect topology + process parameters); results
   /// stay bit-identical because SosSession::run restamps and reset()s the

@@ -20,10 +20,13 @@
 //     the defect resistance via its ParamHandle, swap engine options in
 //     place, reset() to the pristine post-power-up state. Because reset()
 //     is defined as bit-identical to a fresh construction (see
-//     pf/dram/column.hpp), a session run and a run_sos call with the same
-//     (R_def, options, U, SOS) return identical SosOutcomes.
+//     pf/dram/column.hpp) and its snapshot trie restores only states the
+//     same trajectory would reach, a session run and a run_sos call with
+//     the same (R_def, options, U, SOS) return identical SosOutcomes.
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -63,17 +66,47 @@ SosOutcome run_sos(const dram::DramParams& params, const dram::Defect& defect,
                    const dram::FloatingLine* line, double u,
                    const faults::Sos& sos, bool idle_before_observe = false);
 
-/// The implementation behind run_sos (SosSession::run shares it from the
-/// floating-voltage injection on): executes the SOS on `column`, which must
-/// be in the pristine post-power-up state (fresh construction or reset()).
+/// The implementation behind run_sos (SosSession::run shares its
+/// initializing writes, operation loop and classification): executes the
+/// SOS on `column`, which must be in the pristine post-power-up state
+/// (fresh construction or reset()).
 SosOutcome run_sos_on(dram::DramColumn& column, const dram::FloatingLine* line,
                       double u, const faults::Sos& sos,
                       bool idle_before_observe = false);
 
-/// A reusable experiment context for one worker of a sweep: one compiled
-/// column whose topology is fixed at construction and whose swept values
-/// (defect resistance, engine options, floating voltage) are restamped per
-/// run. Not thread-safe — give each worker its own session via clone().
+/// A reusable experiment context for one worker of a sweep or completion
+/// search: one compiled column whose topology is fixed at construction and
+/// whose swept values (defect resistance, engine options, floating voltage)
+/// are restamped per run. Not thread-safe — give each worker its own
+/// session via clone().
+///
+/// Runs share solved work through ONE snapshot trie. Every experiment is a
+/// deterministic trajectory — power-up, initializing writes, injection of
+/// U, the SOS's operations — so two experiments with the same configuration
+/// (R_def, numerics) pass through bit-identical states for as long as their
+/// inputs agree:
+///
+///   root    (init states)                         post-initialization
+///   node    (init states, line, U bitwise,        after the k-th leading
+///            leading completing writes 1..k)      completing write
+///
+/// A run restores its deepest stored node and solves only the rest; the
+/// root alone is the post-initialization cache every sweep row hits (one
+/// row varies only U). The completion search is what walks deeper: its
+/// candidates at one probe point differ only in their completing prefix
+/// (Op::completing), so each candidate resumes from the longest prefix an
+/// earlier candidate already solved. Nodes are stored after every leading
+/// completing write except the SOS's last one, which bounds the trie at
+/// (init variants) x (probe voltages) x (4 + 16) states for the search's
+/// 3-op vocabulary. A change of R_def or of the numeric options clears it.
+///
+/// A run that carries a completing prefix stores a snapshot (root or node)
+/// only from a trajectory that saw no injected solver fault
+/// (SimStats::injected_faults == 0): a fault-injection test may corrupt one
+/// probe attempt, never the later candidates that would restore from it.
+/// Runs without one (sweeps) store the root exactly as before. Snapshots
+/// carry t, dt, every voltage, the ramps and SimStats, so a restored run is
+/// bit-identical to the run that solves everything.
 class SosSession {
  public:
   /// Compiles the column once for (params, defect). The defect's
@@ -82,22 +115,15 @@ class SosSession {
   SosSession(const dram::DramParams& params, const dram::Defect& defect);
 
   /// A pristine replica sharing the compiled template (cheap run-state
-  /// clone) — the per-worker fan-out hook of the parallel sweep engine.
+  /// clone) — the per-worker fan-out hook of the parallel drivers. The
+  /// replica starts with an empty trie and zeroed counters.
   SosSession clone() const { return SosSession(column_.clone_fresh()); }
 
   const dram::DramColumn& column() const { return column_; }
 
   /// One experiment, bit-identical to
   ///   run_sos(params{sim = options}, defect{resistance = r_def}, ...)
-  /// on a fresh column.
-  ///
-  /// Runs cache the POST-INITIALIZATION snapshot: the SOS's initializing
-  /// writes (step 1) happen before the floating voltage is injected
-  /// (step 2), so consecutive experiments that share (R_def, numerics,
-  /// initial states) — e.g. one grid row of a sweep, which varies only U —
-  /// restore the snapshot instead of re-solving power-up and the
-  /// initializing writes. Deterministic replay makes the restored state
-  /// equal the re-solved state bit for bit, so outcomes are unaffected.
+  /// on a fresh column, whatever the trie holds.
   SosOutcome run(double r_def, const spice::SimOptions& options,
                  const dram::FloatingLine* line, double u,
                  const faults::Sos& sos, bool idle_before_observe = false);
@@ -110,19 +136,46 @@ class SosSession {
     column_.set_sim_options(options);
   }
 
+  /// Engine steps this session's runs actually solved, failed attempts
+  /// included; trajectory restored from a snapshot (trie node, root or the
+  /// column's cached power-up) is excluded.
+  uint64_t steps_solved() const { return steps_solved_; }
+  /// Runs that resumed from a stored completing-write prefix (depth >= 1).
+  uint64_t prefix_restores() const { return prefix_restores_; }
+
  private:
   explicit SosSession(dram::DramColumn column) : column_(std::move(column)) {}
 
+  /// One trie entry: `ops` empty is a root (pre-injection, keyed on the
+  /// init states only); otherwise the state after injecting (line, U) and
+  /// applying `ops`, the SOS's leading completing writes.
+  struct Snapshot {
+    int init_victim = -1;
+    int init_aggressor = -1;
+    std::optional<dram::FloatingLine> line;
+    uint64_t u_bits = 0;
+    std::vector<faults::Op> ops;
+    dram::DramColumn::State state;
+  };
+
+  /// The stored snapshot for the first `depth` ops of `sos`, or null.
+  const Snapshot* find(const faults::Sos& sos, const dram::FloatingLine* line,
+                       uint64_t u_bits, size_t depth) const;
+  /// The trie walk behind run(); `restored_steps` receives the steps of
+  /// the trajectory restored rather than solved.
+  SosOutcome run_from_trie(const dram::FloatingLine* line, double u,
+                           const faults::Sos& sos, bool idle_before_observe,
+                           uint64_t& restored_steps);
+
   dram::DramColumn column_;
 
-  // Post-initialization snapshot cache (keyed on the exact configuration
-  // that determines the pre-injection trajectory).
-  dram::DramColumn::State init_state_;
-  spice::SimOptions init_options_;
-  double init_r_ = 0.0;
-  int init_victim_ = -2;     // -2: cache empty (Sos uses -1 for "no init")
-  int init_aggressor_ = -2;
-  bool init_valid_ = false;
+  // The snapshot trie and the configuration it is valid for.
+  std::vector<Snapshot> trie_;
+  double trie_r_ = 0.0;
+  spice::SimOptions trie_options_;
+
+  uint64_t steps_solved_ = 0;
+  uint64_t prefix_restores_ = 0;
 };
 
 }  // namespace pf::analysis

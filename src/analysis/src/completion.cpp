@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <memory>
 
 #include "pf/util/log.hpp"
@@ -52,39 +53,37 @@ namespace {
 /// the completing prefix must establish or preserve).
 int required_entry_state(const Sos& base) { return base.initial_victim; }
 
-struct Candidate {
-  std::vector<Op> prefix;
-  bool keeps_init = false;
-};
-
-/// Enumerate prefixes of exactly `len` operations over the vocabulary
-/// {w0, w1} x {victim, same-BL aggressor}, ordered victim-first (prefer
-/// lower #C among equals).
-void enumerate_prefixes(int len, int required_state,
-                        std::vector<Candidate>& out) {
+/// Enumerate the candidate SOSes with exactly `len` completing writes over
+/// the vocabulary {w0, w1} x {victim, same-BL aggressor}, ordered
+/// victim-first (prefer lower #C among equals), each followed by the base
+/// SOS's operations.
+void enumerate_candidates(int len, const Sos& base, std::vector<Sos>& out) {
   const Op vocab[4] = {
       {Op::Kind::kWrite0, CellRole::kVictim, true, -1},
       {Op::Kind::kWrite1, CellRole::kVictim, true, -1},
       {Op::Kind::kWrite0, CellRole::kAggressorBl, true, -1},
       {Op::Kind::kWrite1, CellRole::kAggressorBl, true, -1},
   };
+  const int required_state = required_entry_state(base);
   std::vector<int> idx(len, 0);
   while (true) {
-    Candidate c;
+    Sos sos;
     int last_victim_write = -1;
     for (int k = 0; k < len; ++k) {
       const Op& op = vocab[idx[k]];
-      c.prefix.push_back(op);
+      sos.ops.push_back(op);
       if (op.target == CellRole::kVictim) last_victim_write = op.write_value();
     }
-    if (last_victim_write < 0) {
-      // No victim write: the base initialization is kept (if it exists).
-      c.keeps_init = true;
-      out.push_back(std::move(c));
-    } else if (required_state < 0 || last_victim_write == required_state) {
-      // Prefix provides (and must match) the required entry state.
-      c.keeps_init = false;
-      out.push_back(std::move(c));
+    // Without a victim write the base initialization is kept (if it
+    // exists); otherwise the prefix provides (and must match) the required
+    // entry state.
+    const bool keeps_init = last_victim_write < 0;
+    if (keeps_init || required_state < 0 ||
+        last_victim_write == required_state) {
+      sos.initial_victim = keeps_init ? base.initial_victim : -1;
+      sos.initial_aggressor = base.initial_aggressor;
+      sos.ops.insert(sos.ops.end(), base.ops.begin(), base.ops.end());
+      out.push_back(std::move(sos));
     }
     // Next combination.
     int k = len - 1;
@@ -102,7 +101,6 @@ CompletionResult search_completing_ops(const CompletionSpec& spec) {
   const ExecutionPolicy& policy = spec.exec;
   const ParallelGridRunner runner(policy);
   const Sos& base = spec.base.sos;
-  const int entry_state = required_entry_state(base);
   const auto lines = dram::floating_lines_for(spec.defect, spec.params);
   PF_CHECK(spec.floating_line_index < lines.size());
   const dram::FloatingLine& line = lines[spec.floating_line_index];
@@ -114,11 +112,12 @@ CompletionResult search_completing_ops(const CompletionSpec& spec) {
   dram::DramParams probe_params = spec.params;
   probe_params.sim.cancel = policy.cancel;
 
-  // Compile-once pipeline: one template for the whole search, per-worker
-  // sessions that persist ACROSS candidates — every probe restamps + resets
-  // its worker's column (bit-identical to a fresh build), so the search
-  // never reconstructs a netlist after this point. Probes always reset cold:
-  // candidate verdicts must not depend on probe order.
+  // Compile-once pipeline: one template for the whole search and
+  // per-worker sessions that persist ACROSS candidates, so each probe
+  // resumes from the longest completing prefix its worker already solved at
+  // that probe point (SosSession's snapshot trie). A restored trajectory is
+  // bit-identical to a re-solved one: verdicts do not depend on which
+  // candidates a worker ran before.
   std::unique_ptr<SosSession> prototype;
   if (policy.plan.circuit_mode == CircuitMode::kReuse) {
     dram::Defect proto_defect = spec.defect;
@@ -135,77 +134,105 @@ CompletionResult search_completing_ops(const CompletionSpec& spec) {
     return *session;
   };
 
-  for (int len = 1; len <= spec.max_prefix_ops; ++len) {
-    std::vector<Candidate> candidates;
-    enumerate_prefixes(len, entry_state, candidates);
-    for (const Candidate& cand : candidates) {
-      ++result.candidates_evaluated;
-      Sos sos;
-      sos.initial_victim = cand.keeps_init ? base.initial_victim : -1;
-      sos.initial_aggressor = base.initial_aggressor;
-      sos.ops = cand.prefix;
-      sos.ops.insert(sos.ops.end(), base.ops.begin(), base.ops.end());
-
-      // The candidate is accepted iff it reproduces the base <F, R> at
-      // EVERY probe point — an order-independent predicate, so the probe
-      // grid fans out over the worker pool. `rejected` cancels the probes
-      // still pending (serial runs reproduce PR 1's early-exit counts
-      // exactly; parallel runs may charge a few in-flight extras).
-      std::atomic<bool> rejected{false};
-      std::atomic<uint64_t> runs{0};
-      std::atomic<uint64_t> failures{0};
-      const size_t n_u = spec.probe_u.size();
-      runner.run(spec.probe_r.size() * n_u, [&](size_t k, int worker) {
-        if (rejected.load(std::memory_order_relaxed)) return;
-        const double r = spec.probe_r[k / n_u];
-        const double u = spec.probe_u[k % n_u];
-        runs.fetch_add(1, std::memory_order_relaxed);
-        dram::Defect defect = spec.defect;
-        defect.resistance = r;
-        ExperimentContext ctx;
-        ctx.key = completion_key(r, u);
-        ctx.defect = dram::defect_name(spec.defect);
-        ctx.line = line.label;
-        ctx.r_def = r;
-        ctx.u = u;
-        ctx.sos = sos.to_string();
-        const RobustOutcome ro =
-            prototype != nullptr
-                ? run_sos_robust(session_for(worker), probe_params.sim,
-                                 defect, &line, u, sos, policy.retry, ctx,
-                                 is_state_fault)
-                : run_sos_robust(probe_params, defect, &line, u, sos,
-                                 policy.retry, ctx, is_state_fault);
-        if (!ro.solved) {
-          // An unsolvable probe cannot demonstrate the completion; reject
-          // the candidate and keep searching instead of aborting the
-          // whole catalogue run.
-          failures.fetch_add(1, std::memory_order_relaxed);
-          rejected.store(true, std::memory_order_relaxed);
-          return;
-        }
-        const SosOutcome& out = ro.outcome;
-        if (!out.faulty || out.final_state != spec.base.faulty_state ||
-            out.read_result != spec.base.read_result)
-          rejected.store(true, std::memory_order_relaxed);
-      });
-      result.sos_runs += runs.load();
-      result.solver_failures += failures.load();
-      if (!rejected.load()) {
-        result.possible = true;
-        result.completed.sos = sos;
-        result.completed.faulty_state = spec.base.faulty_state;
-        result.completed.read_result = spec.base.read_result;
-        PF_LOG_INFO("completed " << spec.base.to_string() << " as "
-                                 << result.completed.to_string() << " after "
-                                 << result.candidates_evaluated
-                                 << " candidates");
-        return result;
+  // The candidate is accepted iff it reproduces the base <F, R> at EVERY
+  // probe point. Its probes run in order on one worker and stop at the
+  // first mismatch, or as soon as a lower-index candidate was accepted.
+  const size_t n_u = spec.probe_u.size();
+  const size_t n_probes = spec.probe_r.size() * n_u;
+  // Per prefix length: the candidates, the lowest accepted index so far,
+  // and each candidate's probe tally.
+  constexpr size_t kNone = std::numeric_limits<size_t>::max();
+  std::vector<Sos> soses;
+  std::atomic<size_t> accepted{kNone};
+  struct Tally {
+    uint64_t runs = 0;
+    uint64_t failures = 0;
+  };
+  std::vector<Tally> tallies;
+  const auto evaluate = [&](size_t index, int worker) {
+    const Sos& sos = soses[index];
+    Tally& tally = tallies[index];
+    for (size_t k = 0; k < n_probes; ++k) {
+      if (accepted.load(std::memory_order_relaxed) < index) return false;
+      const double r = spec.probe_r[k / n_u];
+      const double u = spec.probe_u[k % n_u];
+      ++tally.runs;
+      dram::Defect defect = spec.defect;
+      defect.resistance = r;
+      ExperimentContext ctx;
+      ctx.key = completion_key(r, u);
+      ctx.defect = dram::defect_name(spec.defect);
+      ctx.line = line.label;
+      ctx.r_def = r;
+      ctx.u = u;
+      ctx.sos = sos.to_string();
+      const RobustOutcome ro =
+          prototype != nullptr
+              ? run_sos_robust(session_for(worker), probe_params.sim, defect,
+                               &line, u, sos, policy.retry, ctx,
+                               is_state_fault)
+              : run_sos_robust(probe_params, defect, &line, u, sos,
+                               policy.retry, ctx, is_state_fault);
+      if (!ro.solved) {
+        // An unsolvable probe cannot demonstrate the completion; reject
+        // the candidate and keep searching instead of aborting the whole
+        // catalogue run.
+        ++tally.failures;
+        return false;
       }
+      const SosOutcome& out = ro.outcome;
+      if (!out.faulty || out.final_state != spec.base.faulty_state ||
+          out.read_result != spec.base.read_result)
+        return false;
+    }
+    return true;
+  };
+
+  for (int len = 1; len <= spec.max_prefix_ops; ++len) {
+    soses.clear();
+    enumerate_candidates(len, base, soses);
+
+    // Candidates fan out over the workers in ascending order; `accepted`
+    // is the lowest accepted index so far. Candidates above it skip or
+    // abandon their probes, candidates below it always finish, so the
+    // committed minimum — and every tally up to it — equals the serial
+    // loop's at any thread count.
+    accepted.store(kNone);
+    tallies.assign(soses.size(), Tally{});
+    runner.run(soses.size(), [&](size_t i, int worker) {
+      if (!evaluate(i, worker)) return;
+      size_t best = accepted.load(std::memory_order_relaxed);
+      while (i < best && !accepted.compare_exchange_weak(best, i)) {
+      }
+    });
+    const size_t committed = accepted.load();
+    const size_t evaluated =
+        committed == kNone ? soses.size() : committed + 1;
+    result.candidates_evaluated += static_cast<int>(evaluated);
+    for (size_t i = 0; i < tallies.size(); ++i) {
+      result.sos_runs += tallies[i].runs;  // speculative extras included
+      if (i < evaluated) result.solver_failures += tallies[i].failures;
+    }
+    if (committed != kNone) {
+      result.possible = true;
+      result.completed.sos = soses[committed];
+      result.completed.faulty_state = spec.base.faulty_state;
+      result.completed.read_result = spec.base.read_result;
+      break;
     }
   }
-  PF_LOG_INFO("no completing operations for " << spec.base.to_string()
-                                              << " (not possible)");
+  for (const std::unique_ptr<SosSession>& session : sessions) {
+    if (session == nullptr) continue;
+    result.steps_solved += session->steps_solved();
+    result.prefix_restores += session->prefix_restores();
+  }
+  if (result.possible)
+    PF_LOG_INFO("completed " << spec.base.to_string() << " as "
+                             << result.completed.to_string() << " after "
+                             << result.candidates_evaluated << " candidates");
+  else
+    PF_LOG_INFO("no completing operations for " << spec.base.to_string()
+                                                << " (not possible)");
   return result;
 }
 
@@ -273,6 +300,8 @@ CompletionResult search_completing_ops_with_fallback(
     total.candidates_evaluated += attempt.candidates_evaluated;
     total.sos_runs += attempt.sos_runs;
     total.solver_failures += attempt.solver_failures;
+    total.steps_solved += attempt.steps_solved;
+    total.prefix_restores += attempt.prefix_restores;
     if (attempt.possible) {
       total.possible = true;
       total.completed = attempt.completed;

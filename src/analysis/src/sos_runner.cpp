@@ -1,5 +1,7 @@
 #include "pf/analysis/sos_runner.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <sstream>
 
@@ -17,7 +19,7 @@ namespace {
 // Step 1 of the recipe: the SOS's initializing states, applied as ordinary
 // (defective) operations. Runs BEFORE the floating-voltage injection, so
 // the resulting column state depends only on (configuration, initial
-// states) — the invariant behind SosSession's post-init snapshot cache.
+// states) — the invariant behind the root of SosSession's snapshot trie.
 void apply_initial_states(DramColumn& column, const Sos& sos) {
   if (sos.initial_aggressor >= 0)
     column.write(DramColumn::kAggressorSameBl, sos.initial_aggressor);
@@ -25,26 +27,29 @@ void apply_initial_states(DramColumn& column, const Sos& sos) {
     column.write(DramColumn::kVictim, sos.initial_victim);
 }
 
-// Steps 2-4: floating-voltage injection, operations, observation and
-// classification. The column must already carry the initializing states.
-SosOutcome observe_sos(DramColumn& column, const dram::FloatingLine* line,
-                       double u, const Sos& sos, bool idle_before_observe) {
-  const int victim = DramColumn::kVictim;
-  const int aggressor = DramColumn::kAggressorSameBl;
+int address_of(const Op& op) {
+  return op.target == CellRole::kVictim ? DramColumn::kVictim
+                                        : DramColumn::kAggressorSameBl;
+}
 
-  // 2. Floating-voltage injection.
-  if (line != nullptr) column.apply_floating_voltage(*line, u);
+// Steps 3-4 from operation `first` on: the remaining operations, then
+// observation and classification. The column must already carry the
+// initializing states, the floating-voltage injection and ops [0, first),
+// which must all be writes (they produce no read result).
+SosOutcome observe_sos(DramColumn& column, const Sos& sos, size_t first,
+                       bool idle_before_observe) {
+  const int victim = DramColumn::kVictim;
 
   // 3. Operations.
   int last_victim_read = -1;
   bool last_op_is_victim_read = false;
-  for (const Op& op : sos.ops) {
-    const int addr = op.target == CellRole::kVictim ? victim : aggressor;
+  for (size_t i = first; i < sos.ops.size(); ++i) {
+    const Op& op = sos.ops[i];
     if (op.is_read()) {
-      const int got = column.read(addr);
+      const int got = column.read(address_of(op));
       if (op.target == CellRole::kVictim) last_victim_read = got;
     } else {
-      column.write(addr, op.write_value());
+      column.write(address_of(op), op.write_value());
     }
     last_op_is_victim_read =
         op.is_read() && op.target == CellRole::kVictim;
@@ -87,7 +92,8 @@ SosOutcome observe_sos(DramColumn& column, const dram::FloatingLine* line,
 SosOutcome run_sos_on(DramColumn& column, const dram::FloatingLine* line,
                       double u, const Sos& sos, bool idle_before_observe) {
   apply_initial_states(column, sos);
-  return observe_sos(column, line, u, sos, idle_before_observe);
+  if (line != nullptr) column.apply_floating_voltage(*line, u);  // step 2
+  return observe_sos(column, sos, 0, idle_before_observe);
 }
 
 SosOutcome run_sos(const dram::DramParams& params, const dram::Defect& defect,
@@ -110,28 +116,102 @@ SosOutcome SosSession::run(double r_def, const spice::SimOptions& options,
   // without solving anything.
   column_.set_defect_resistance(r_def);
   column_.set_sim_options(options);
-  // Post-init snapshot cache: the floating voltage is only injected AFTER
-  // the initializing writes, so across one grid row (same R_def, numerics
-  // and initial states, varying U) every experiment shares the exact
-  // post-initialization state. Restoring it replays nothing and is
-  // bit-identical to reset() + re-solved writes (deterministic engine).
-  if (init_valid_ && r_def == init_r_ &&
-      sos.initial_victim == init_victim_ &&
-      sos.initial_aggressor == init_aggressor_ &&
-      spice::same_numerics(options, init_options_)) {
-    column_.restore_state(init_state_);
-  } else {
-    init_valid_ = false;  // stays false if power-up or an init write throws
-    column_.reset();  // bit-identical to a freshly built column
-    apply_initial_states(column_, sos);
-    init_state_ = column_.save_state();
-    init_options_ = options;
-    init_r_ = r_def;
-    init_victim_ = sos.initial_victim;
-    init_aggressor_ = sos.initial_aggressor;
-    init_valid_ = true;
+  // Every stored trajectory was solved under (trie_r_, trie_options_).
+  if (trie_.empty() || r_def != trie_r_ ||
+      !spice::same_numerics(options, trie_options_)) {
+    trie_.clear();
+    trie_r_ = r_def;
+    trie_options_ = options;
   }
-  return observe_sos(column_, line, u, sos, idle_before_observe);
+  uint64_t restored_steps = 0;
+  try {
+    SosOutcome out =
+        run_from_trie(line, u, sos, idle_before_observe, restored_steps);
+    steps_solved_ += column_.sim_stats().steps - restored_steps;
+    return out;
+  } catch (...) {
+    steps_solved_ += column_.sim_stats().steps - restored_steps;
+    throw;
+  }
+}
+
+SosOutcome SosSession::run_from_trie(const dram::FloatingLine* line, double u,
+                                     const Sos& sos, bool idle_before_observe,
+                                     uint64_t& restored_steps) {
+  const uint64_t u_bits = std::bit_cast<uint64_t>(u);
+  size_t leading = 0;  // leading completing writes: the shareable prefix
+  while (leading < sos.ops.size() && sos.ops[leading].completing &&
+         sos.ops[leading].is_write())
+    ++leading;
+
+  // Keep a snapshot unless a fault-injection test fired into its
+  // trajectory (SimStats travel with snapshots, so the count covers every
+  // restored step too): a corrupted attempt must not leak into the runs
+  // that would restore it. Runs without a completing prefix (sweeps) still
+  // store their root unconditionally: the fuzz harness's planted-mutation
+  // test convicts its corrupted grid point only through that spread.
+  const auto store = [&](size_t depth) {
+    if (leading > 0 && column_.sim_stats().injected_faults != 0) return;
+    Snapshot s;
+    s.init_victim = sos.initial_victim;
+    s.init_aggressor = sos.initial_aggressor;
+    if (depth > 0) {
+      if (line != nullptr) s.line = *line;
+      s.u_bits = u_bits;
+      s.ops.assign(sos.ops.begin(), sos.ops.begin() + depth);
+    }
+    s.state = column_.save_state();
+    trie_.push_back(std::move(s));
+  };
+
+  // The deepest stored prefix; the SOS's last leading write is never
+  // stored, so at least one operation is always left to solve.
+  size_t depth = leading > 0 ? leading - 1 : 0;
+  const Snapshot* node = nullptr;
+  while (depth > 0 && (node = find(sos, line, u_bits, depth)) == nullptr)
+    --depth;
+  if (node != nullptr)
+    ++prefix_restores_;
+  else
+    node = find(sos, line, u_bits, 0);  // the post-initialization root
+  if (node != nullptr) {
+    column_.restore_state(node->state);
+    restored_steps = column_.sim_stats().steps;
+  } else {
+    // Cold start: bit-identical to a freshly built column, then the
+    // initializing writes (solved once per init variant and configuration).
+    const bool power_up_cached = column_.power_up_cached();
+    column_.reset();
+    if (power_up_cached) restored_steps = column_.sim_stats().steps;
+    apply_initial_states(column_, sos);
+    store(0);
+  }
+  if (depth == 0 && line != nullptr) column_.apply_floating_voltage(*line, u);
+
+  // Solve the leading writes one at a time, storing each new prefix.
+  for (; depth + 1 < leading; ++depth) {
+    const Op& op = sos.ops[depth];
+    column_.write(address_of(op), op.write_value());
+    store(depth + 1);
+  }
+  return observe_sos(column_, sos, depth, idle_before_observe);
+}
+
+const SosSession::Snapshot* SosSession::find(const Sos& sos,
+                                             const dram::FloatingLine* line,
+                                             uint64_t u_bits,
+                                             size_t depth) const {
+  for (const Snapshot& s : trie_) {
+    if (s.init_victim != sos.initial_victim ||
+        s.init_aggressor != sos.initial_aggressor || s.ops.size() != depth)
+      continue;
+    if (depth == 0) return &s;  // roots precede the injection
+    if (s.u_bits != u_bits || s.line.has_value() != (line != nullptr) ||
+        (line != nullptr && *s.line != *line))
+      continue;
+    if (std::equal(s.ops.begin(), s.ops.end(), sos.ops.begin())) return &s;
+  }
+  return nullptr;
 }
 
 }  // namespace pf::analysis

@@ -119,6 +119,11 @@ class DramColumn {
   /// sequence once and re-caches the snapshot.
   void reset();
 
+  /// True when the next reset() restores the cached power-up snapshot;
+  /// false when it must solve power-up again (first reset after a restamp
+  /// or a numeric option change).
+  bool power_up_cached() const { return pristine_valid_; }
+
   /// Restamp the defect's socket resistance (ParamHandle hot path — no
   /// rebuild). Keeps the current run state: follow with reset() for a
   /// cold start equivalent to a fresh build at the new resistance.

@@ -87,6 +87,8 @@ struct FloatingLine {
   bool ties_output_buffer = false;
   double min_v = 0.0;
   double max_v = 3.3;
+
+  friend bool operator==(const FloatingLine&, const FloatingLine&) = default;
 };
 
 /// The floating signal lines a defect produces (Section 2 of the paper);
