@@ -1,14 +1,11 @@
-// A/B measurement of the engine plan: the same Figure 3 sweep (Open 4, SOS
-// 1r1, 13x12 (R_def, U) grid) swept single-threaded in every mode worth
-// measuring:
+// A/B measurement of the circuit lifecycle: the same Figure 3 sweep (Open
+// 4, SOS 1r1, 13x12 (R_def, U) grid) swept single-threaded in both modes:
 //   * CircuitMode::kRebuild — netlist + template + power-up reconstructed
 //     for every grid point (the PR 1 engine's lifecycle);
 //   * CircuitMode::kReuse (default) — one CircuitTemplate compiled per
 //     sweep, per-worker columns restamped through ParamHandles and reset()
-//     per point;
-//   * reuse+adaptive — seed + bisect + infer per row, boundary-exact on this
-//     map's band structure.
-// The maps must stay identical across all modes; only wall clock moves.
+//     per point.
+// The maps must stay identical across both modes; only wall clock moves.
 //
 // Set PF_DUMP_JSON=1 to write BENCH_circuit_reuse.json next to the binary
 // (mirrors bench_parallel_scaling). The recorded copy lives in results/.
@@ -18,6 +15,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 #include "pf/analysis/region.hpp"
@@ -48,7 +46,6 @@ struct ModeTiming {
   double seconds = 0.0;
   double points_per_sec = 0.0;
   bool bit_identical = true;  // vs the kRebuild reference map
-  size_t inferred = 0;        // adaptive: points filled without solving
 };
 
 ModeTiming time_mode(const analysis::SweepSpec& spec, const char* name,
@@ -66,7 +63,6 @@ ModeTiming time_mode(const analysis::SweepSpec& spec, const char* name,
       t.seconds;
   t.bit_identical =
       reference_csv.empty() || map.to_csv() == reference_csv;
-  t.inferred = map.solve_stats().inferred;
   return t;
 }
 
@@ -77,22 +73,19 @@ void print_reproduction() {
   analysis::sweep_region(spec);  // untimed warm-up (cold caches, allocator)
 
   analysis::ExecutionPolicy rebuild;
-  rebuild.plan.circuit_mode = analysis::CircuitMode::kRebuild;
+  rebuild.circuit_mode = analysis::CircuitMode::kRebuild;
   const std::string reference_csv =
       analysis::sweep_region(spec, rebuild).to_csv();
 
   analysis::ExecutionPolicy reuse;  // the default: CircuitMode::kReuse
-  analysis::ExecutionPolicy adaptive = reuse;
-  adaptive.plan.adaptive = true;
 
   const ModeTiming timings[] = {
       time_mode(spec, "rebuild", rebuild, ""),
       time_mode(spec, "reuse", reuse, reference_csv),
-      time_mode(spec, "reuse+adaptive", adaptive, reference_csv),
   };
   const double rebuild_s = timings[0].seconds;
 
-  std::printf("engine plan modes vs per-point rebuild, %zux%zu grid "
+  std::printf("circuit modes vs per-point rebuild, %zux%zu grid "
               "(%zu points), single thread:\n",
               spec.r_axis.size(), spec.u_axis.size(), n_points);
   std::printf("  seed engine (recorded)   %7.1f points/sec\n",
@@ -102,9 +95,7 @@ void print_reproduction() {
                 "%.2fx vs seed  %s",
                 t.mode, t.seconds, t.points_per_sec, rebuild_s / t.seconds,
                 t.points_per_sec / kSeedPointsPerSec,
-                t.bit_identical ? "bit-identical" : "MAP DIFFERS");
-    if (t.inferred > 0) std::printf("  (%zu inferred)", t.inferred);
-    std::printf("\n");
+                t.bit_identical ? "bit-identical\n" : "MAP DIFFERS\n");
   }
   std::printf("\n");
 
@@ -119,17 +110,17 @@ void print_reproduction() {
         << "  \"threads\": 1,\n"
         << "  \"seed_points_per_sec\": " << kSeedPointsPerSec << ",\n"
         << "  \"modes\": [\n";
-    for (size_t i = 0; i < 3; ++i) {
+    const size_t n_modes = std::size(timings);
+    for (size_t i = 0; i < n_modes; ++i) {
       const ModeTiming& t = timings[i];
       out << "    {\"mode\": \"" << t.mode << "\""
           << ", \"seconds\": " << t.seconds
           << ", \"points_per_sec\": " << t.points_per_sec
           << ", \"speedup_vs_rebuild\": " << rebuild_s / t.seconds
           << ", \"speedup_vs_seed\": " << t.points_per_sec / kSeedPointsPerSec
-          << ", \"inferred_points\": " << t.inferred
           << ", \"bit_identical_to_rebuild\": "
-          << (t.bit_identical ? "true" : "false") << "}" << (i < 2 ? "," : "")
-          << "\n";
+          << (t.bit_identical ? "true" : "false") << "}"
+          << (i + 1 < n_modes ? "," : "") << "\n";
     }
     out << "  ]\n}\n";
     std::printf("wrote BENCH_circuit_reuse.json\n");
@@ -172,7 +163,7 @@ void BM_SweepRow(benchmark::State& state) {
   analysis::SweepSpec spec = fig3_spec();
   spec.r_axis = {1e6};
   analysis::ExecutionPolicy policy;
-  policy.plan.circuit_mode = state.range(0) != 0
+  policy.circuit_mode = state.range(0) != 0
                                  ? analysis::CircuitMode::kReuse
                                  : analysis::CircuitMode::kRebuild;
   for (auto _ : state) {

@@ -15,9 +15,6 @@
 //   defect_explorer --no-reuse ...      # rebuild the circuit per grid point
 //       instead of restamping one compiled template (A/B escape hatch; same
 //       map bit for bit, slower)
-//   defect_explorer --adaptive ...      # trace row boundaries instead of
-//       evaluating every U point: seed, bisect disagreements, infer the
-//       rest (exact for bands wider than the seed stride)
 //
 // Graceful shutdown: SIGINT/SIGTERM trips a cooperative cancellation token;
 // in-flight grid points drain, the journal is flushed, and the process
@@ -50,17 +47,11 @@
 namespace {
 
 pf::dram::OpenSite site_of(int number) {
-  using pf::dram::OpenSite;
-  static const OpenSite kSites[] = {
-      OpenSite::kNone,         OpenSite::kCell,       OpenSite::kRefCell,
-      OpenSite::kPrecharge,    OpenSite::kBitLineOuter,
-      OpenSite::kBitLineMid,   OpenSite::kBitLineSense,
-      OpenSite::kSenseAmp,     OpenSite::kIoPath,     OpenSite::kWordLine};
   if (number < 1 || number > 9) {
     std::fprintf(stderr, "open number must be 1..9\n");
     std::exit(1);
   }
-  return kSites[number];
+  return *pf::dram::open_site_for_number(number);
 }
 
 }  // namespace
@@ -70,14 +61,11 @@ int main(int argc, char** argv) {
   int threads = 1;
   double deadline = 0.0;
   bool reuse = true;
-  bool adaptive = false;
   bool wedge_on_interrupt = false;
   std::vector<const char*> args;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--no-reuse") == 0) {
       reuse = false;
-    } else if (std::strcmp(argv[i], "--adaptive") == 0) {
-      adaptive = true;
     } else if (std::strcmp(argv[i], "--wedge-on-interrupt") == 0) {
       wedge_on_interrupt = true;
     } else if (std::strcmp(argv[i], "--threads") == 0) {
@@ -111,9 +99,8 @@ int main(int argc, char** argv) {
   exec.threads = threads;
   exec.cancel = on_signal.token();
   exec.deadline_seconds = deadline;
-  exec.plan.circuit_mode = reuse ? analysis::CircuitMode::kReuse
-                                 : analysis::CircuitMode::kRebuild;
-  exec.plan.adaptive = adaptive;
+  exec.circuit_mode = reuse ? analysis::CircuitMode::kReuse
+                            : analysis::CircuitMode::kRebuild;
 
   analysis::SweepSpec spec;
   spec.params = dram::DramParams{};

@@ -79,20 +79,11 @@ void draw(const Trace& trace, const char* title, double vmax) {
 }
 
 OpenSite site_of(int number) {
-  switch (number) {
-    case 1: return OpenSite::kCell;
-    case 2: return OpenSite::kRefCell;
-    case 3: return OpenSite::kPrecharge;
-    case 4: return OpenSite::kBitLineOuter;
-    case 5: return OpenSite::kBitLineMid;
-    case 6: return OpenSite::kBitLineSense;
-    case 7: return OpenSite::kSenseAmp;
-    case 8: return OpenSite::kIoPath;
-    case 9: return OpenSite::kWordLine;
-    default:
-      std::fprintf(stderr, "open number must be 1..9\n");
-      std::exit(1);
+  if (number < 1 || number > 9) {
+    std::fprintf(stderr, "open number must be 1..9\n");
+    std::exit(1);
   }
+  return *pf::dram::open_site_for_number(number);
 }
 
 }  // namespace

@@ -38,8 +38,8 @@ PF_FUZZ_ITERS="$FUZZ_ITERS" \
   ctest --test-dir "$BUILD" -L tier2-fuzz --output-on-failure
 
 # Golden A/B suites under ASan+UBSan: the word-parallel PlaneMemory's raw
-# bit-plane indexing and lane masks, the engine-plan matrix (reuse vs
-# rebuild, dense vs adaptive) and the completion search's snapshot trie
+# bit-plane indexing and lane masks, circuit reuse vs per-point rebuild
+# and the completion search's snapshot trie
 # (prefix slicing of candidate SOSes) are the places where out-of-bounds
 # or UB could hide behind passing bit-identity checks. Build a separate
 # sanitized tree (PF_SANITIZE plumbs into -fsanitize=) and run exactly the
@@ -53,7 +53,7 @@ if [[ "${PF_SKIP_SANITIZE:-0}" != "1" ]]; then
   cmake --build "$SAN_BUILD" -j "$JOBS" \
     --target test_dram test_analysis test_memsim test_march test_fuzz
   ctest --test-dir "$SAN_BUILD" --output-on-failure -j "$JOBS" \
-    -R 'CircuitReuse|CompletionPrefixSharing|EnginePlan|PlaneMemory|PopulationAB'
+    -R 'CircuitReuse|CompletionPrefixSharing|PlaneMemory|PopulationAB'
 
   # SearchAB: the march-search optimizer mutates candidate tests in a hot
   # loop (element/op erase + crossover splices) and walks per-unit
@@ -67,16 +67,27 @@ if [[ "${PF_SKIP_SANITIZE:-0}" != "1" ]]; then
 
   # Grid dispatch under ThreadSanitizer: ParallelGridRunner's atomic cursor,
   # per-index outcome slots, serialized journal appends and progress
-  # callback, cooperative cancellation, the point and adaptive-row
-  # dispatch of sweep_region, and the completion search's per-candidate
-  # dispatch (atomic lowest-accepted index, per-worker snapshot tries), all
-  # run with real worker threads.
+  # callback, cooperative cancellation, the point dispatch of sweep_region,
+  # and the completion search's per-candidate dispatch (atomic
+  # lowest-accepted index, per-worker snapshot tries), all run with real
+  # worker threads.
   TSAN_BUILD="${BUILD}-tsan"
   echo "== grid dispatch under ThreadSanitizer (${TSAN_BUILD})"
   cmake -B "$TSAN_BUILD" -S . -DPF_SANITIZE=thread >/dev/null
-  cmake --build "$TSAN_BUILD" -j "$JOBS" --target test_analysis
+  cmake --build "$TSAN_BUILD" -j "$JOBS" \
+    --target test_analysis test_service test_campaign
   ctest --test-dir "$TSAN_BUILD" --output-on-failure -j "$JOBS" \
     -R 'ParallelSweep|SweepCancellation|CircuitReuse|ExecutionPolicy_|ParallelCompletion|ParallelTable1|CompletionPrefixSharing'
+
+  # Every service and campaign test under ThreadSanitizer: the server's
+  # worker pool, admission queue and client waits, the result cache, and
+  # the campaign runner's journal and session cache. Run as whole binaries
+  # so a new suite is covered without editing a filter; a race report
+  # fails the binary (TSan's exit code 66).
+  echo "== service + campaign under ThreadSanitizer (${TSAN_BUILD})"
+  for t in test_service test_campaign; do
+    "$TSAN_BUILD/tests/$t"
+  done
 fi
 
 echo "== ci gate passed"

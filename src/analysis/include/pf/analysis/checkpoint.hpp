@@ -5,7 +5,8 @@
 // power loss, cooperative cancellation) can resume by re-reading the journal
 // and skipping every point it already solved. Rows recording a solver
 // failure (FAIL) are *not* skipped on resume: a later run — possibly with a
-// different retry policy — gets another chance at them.
+// different retry policy — gets another chance at them. Neither are rows
+// with attempts = 0, which no experiment produced.
 //
 // v2 format (CSV after a tagged header; CRC-32 per row, END trailer):
 //

@@ -35,27 +35,6 @@ namespace pf::analysis {
 
 class SessionCache;
 
-/// How the engine obtains circuits and which grid points it solves — the
-/// solver-side decisions of a sweep. One EnginePlan travels with the policy
-/// through every driver (sweep_region, generate_table1, the completion
-/// search) and through the pf_served job codec, so a job means the same
-/// thing at every layer. Every point is solved by the one scalar transient
-/// engine; the plan only decides how its circuit is obtained and whether
-/// every point of a row is solved at all.
-struct EnginePlan {
-  /// How workers obtain circuits (see pf/analysis/sos_runner.hpp). kReuse
-  /// (default) compiles once per sweep and restamps per point; kRebuild
-  /// reconstructs everything per point (the reference escape hatch).
-  CircuitMode circuit_mode = CircuitMode::kReuse;
-
-  /// Adaptive boundary tracing: instead of evaluating every U-lane of a
-  /// row, evaluate seed points, bisect between neighbours that disagree,
-  /// and infer the agreeing gaps. Exact on maps whose rows are unions of
-  /// bands wider than the seed stride (the paper's Figures 3-4 shape);
-  /// narrower bands can be missed — see DESIGN.md §11.
-  bool adaptive = false;
-};
-
 /// Execution knobs shared by sweep_region, generate_table1 and the
 /// completion search. Replaces PR 1's SweepOptions / Table1Options::sweep /
 /// Table1Options::completion_retry / CompletionSpec::retry scatter.
@@ -69,11 +48,12 @@ struct ExecutionPolicy {
   /// Per-experiment solver retry/backoff (see pf/analysis/robust.hpp).
   RetryPolicy retry;
 
-  /// Solver-side decisions: circuit lifecycle and adaptive tracing.
-  EnginePlan plan;
+  /// How workers obtain circuits (see CircuitMode). kRebuild is the
+  /// reference the tests and the fuzz harness compare kReuse against.
+  CircuitMode circuit_mode = CircuitMode::kReuse;
 
   /// Cross-sweep session reuse (see pf/analysis/session_cache.hpp). When
-  /// both fields are set and plan.circuit_mode == kReuse, sweep_region
+  /// both fields are set and circuit_mode == kReuse, sweep_region
   /// borrows a previously compiled SosSession for `session_family` from the
   /// cache instead of compiling from scratch, and returns it (with its
   /// snapshot trie intact) when the sweep completes.

@@ -32,12 +32,11 @@ std::vector<double> default_u_axis(const dram::DramParams& params,
 /// Solver bookkeeping of one sweep_region call, so partial-fault
 /// classification can state how much of the grid it actually observed.
 struct SweepStats {
-  size_t attempted = 0;  ///< points run in this call (excludes resumed/inferred)
+  size_t attempted = 0;  ///< points run in this call (excludes resumed)
   size_t solved = 0;     ///< points that produced an observation
   size_t failed = 0;     ///< points recorded as Ffm::kSolveFailed
   size_t retries = 0;    ///< attempts beyond the first, over all points
   size_t resumed = 0;    ///< points restored from the journal
-  size_t inferred = 0;   ///< adaptive-mode points filled without solving
   size_t journal_dropped = 0;  ///< corrupt journal rows dropped on resume
   size_t journal_quarantined = 0;  ///< unreadable journals moved to .corrupt[.N]
   std::vector<std::string> failure_log;  ///< context, one entry per failure
@@ -94,7 +93,7 @@ class RegionMap {
 /// index. Any thread count returns a bit-identical RegionMap: same grid,
 /// same SweepStats totals, same index-ordered failure_log.
 ///
-/// Circuit lifecycle: with policy.plan.circuit_mode == CircuitMode::kReuse
+/// Circuit lifecycle: with policy.circuit_mode == CircuitMode::kReuse
 /// (default) the circuit template — netlist, node map, sparsity pattern, elimination
 /// order — is compiled ONCE per sweep; each worker owns a private
 /// SosSession whose column is restamped (defect resistance via ParamHandle,
@@ -108,14 +107,6 @@ class RegionMap {
 /// pf::CancelledError — a later call with the same journal_path resumes
 /// where it stopped and, because points are merged by grid index, yields a
 /// map bit-identical to an uninterrupted run.
-///
-/// Adaptive tracing (policy.plan.adaptive, see pf/analysis/execution.hpp):
-/// the unit of dispatch becomes one grid ROW, which evaluates
-/// boundary-tracing seed points, bisects between class-disagreeing
-/// neighbours, and fills agreeing gaps by inference (SweepStats::inferred;
-/// journaled with attempts = 0) — exact when every same-class band is at
-/// least as wide as the seed stride, else narrow bands may be missed.
-/// Adaptive sweeps report progress per ROW, not per point.
 RegionMap sweep_region(const SweepSpec& spec,
                        const ExecutionPolicy& policy = {});
 

@@ -100,13 +100,12 @@ SosOutcome run_sos_on(dram::DramColumn& column, const dram::FloatingLine* line,
 /// (init variants) x (probe voltages) x (4 + 16) states for the search's
 /// 3-op vocabulary. A change of R_def or of the numeric options clears it.
 ///
-/// A run that carries a completing prefix stores a snapshot (root or node)
-/// only from a trajectory that saw no injected solver fault
-/// (SimStats::injected_faults == 0): a fault-injection test may corrupt one
-/// probe attempt, never the later candidates that would restore from it.
-/// Runs without one (sweeps) store the root exactly as before. Snapshots
-/// carry t, dt, every voltage, the ramps and SimStats, so a restored run is
-/// bit-identical to the run that solves everything.
+/// A run stores a snapshot (root or node) only from a trajectory that saw
+/// no injected solver fault (SimStats::injected_faults == 0): a
+/// fault-injection test may corrupt one grid point or probe attempt, never
+/// the later runs that would restore from it. Snapshots carry t, dt, every
+/// voltage, the ramps and SimStats, so a restored run is bit-identical to
+/// the run that solves everything.
 class SosSession {
  public:
   /// Compiles the column once for (params, defect). The defect's

@@ -4,6 +4,7 @@
 // and the complementary FFM the complementary defect would produce.
 #pragma once
 
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -66,6 +67,24 @@ struct Table1Options {
 
 /// The eight base sensitizing operation sequences of the #O <= 1 FP space.
 std::vector<faults::Sos> base_soses();
+
+/// The R_def range Table 1 analyzes `site` over (see Table1Options).
+pf::Interval site_r_range(dram::OpenSite site, const Table1Options& options);
+
+/// The region map of one of a site's sweeps, by floating-line index (into
+/// floating_lines_for) and SOS index (into base_soses()).
+using SiteMapSource = std::function<RegionMap(size_t line, size_t sos)>;
+
+/// One site's slice of Table 1. Walks the site's (floating line, base SOS)
+/// maps in that order, identifies their partial faults, keeps the first
+/// row per (FFM, line label) and runs the completion search for it under
+/// options.exec. Rows come back in discovery order, unsorted.
+/// generate_table1 and the Table 1 campaign's per-site analysis jobs both
+/// build their rows through this one function.
+std::vector<Table1Row> analyze_table1_site(const dram::DramParams& params,
+                                           dram::OpenSite site,
+                                           const Table1Options& options,
+                                           const SiteMapSource& map_for);
 
 /// Run the full analysis and return the table rows (ordered by FFM, then
 /// open number).

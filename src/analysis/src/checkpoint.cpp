@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "pf/util/crc32.hpp"
+#include "pf/util/fnv1a.hpp"
 #include "pf/util/log.hpp"
 #include "pf/util/quarantine.hpp"
 #include "pf/util/strings.hpp"
@@ -22,15 +23,6 @@ constexpr const char* kFingerprintField = "fingerprint=";
 constexpr const char* kTrailerWord = "END";
 constexpr const char* kColumnHeaderV1 = "iy,ix,r_def,u,ffm,attempts";
 constexpr const char* kColumnHeaderV2 = "iy,ix,r_def,u,ffm,attempts,crc";
-
-void fnv1a(uint64_t& hash, std::string_view s) {
-  for (const char c : s) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ull;
-  }
-  hash ^= '\x1f';  // field separator, so "ab"+"c" != "a"+"bc"
-  hash *= 1099511628211ull;
-}
 
 std::string hex16(uint64_t v) {
   char buf[17];
@@ -118,12 +110,13 @@ bool read_first_line(const std::string& path, std::string* line) {
 }  // namespace
 
 uint64_t SweepJournal::fingerprint(const SweepSpec& spec) {
-  uint64_t hash = 1469598103934665603ull;  // FNV offset basis
-  fnv1a(hash, dram::defect_name(spec.defect));
-  fnv1a(hash, std::to_string(spec.floating_line_index));
-  fnv1a(hash, spec.sos.to_string());
-  fnv1a(hash, axis_text(spec.r_axis));
-  fnv1a(hash, axis_text(spec.u_axis));
+  uint64_t hash = pf::kFnv1aOffsetBasis;
+  // The separator keeps "ab"+"c" != "a"+"bc".
+  for (const std::string& field :
+       {dram::defect_name(spec.defect),
+        std::to_string(spec.floating_line_index), spec.sos.to_string(),
+        axis_text(spec.r_axis), axis_text(spec.u_axis)})
+    hash = pf::fnv1a("\x1f", pf::fnv1a(field, hash));
   return hash;
 }
 
@@ -210,8 +203,11 @@ SweepJournal::LoadResult SweepJournal::load(const std::string& path,
       ++result.dropped;
       continue;
     }
-    if (e.ffm == faults::Ffm::kSolveFailed) {
-      ++result.fail_rows;  // re-attempt on resume
+    // FAIL rows re-attempt on resume, and so do rows no experiment
+    // produced (attempts = 0: points the retired adaptive tracing filled
+    // by inference).
+    if (e.ffm == faults::Ffm::kSolveFailed || e.attempts == 0) {
+      if (e.ffm == faults::Ffm::kSolveFailed) ++result.fail_rows;
       by_index.erase(e.iy * width + e.ix);
       continue;
     }

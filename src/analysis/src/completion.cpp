@@ -119,7 +119,7 @@ CompletionResult search_completing_ops(const CompletionSpec& spec) {
   // bit-identical to a re-solved one: verdicts do not depend on which
   // candidates a worker ran before.
   std::unique_ptr<SosSession> prototype;
-  if (policy.plan.circuit_mode == CircuitMode::kReuse) {
+  if (policy.circuit_mode == CircuitMode::kReuse) {
     dram::Defect proto_defect = spec.defect;
     proto_defect.resistance = spec.probe_r.front();
     prototype = std::make_unique<SosSession>(probe_params, proto_defect);

@@ -164,82 +164,12 @@ struct PointOutcome {
   Ffm ffm = Ffm::kUnknown;
   int attempts = 0;
   bool solved = false;
-  bool inferred = false;  ///< adaptive fill — no experiment was run
   std::string error;
-};
-
-/// Adaptive boundary tracing over one grid row. Works on classes only; the
-/// actual experiments are delegated to the caller's evaluator.
-///
-///   1. seed: both row ends plus every stride-4 multiple (resumed points
-///      join for free),
-///   2. bisect: between adjacent KNOWN points whose classes disagree,
-///      evaluate the midpoint; repeat in waves until every disagreeing gap
-///      is down to width 1,
-///   3. infer: interiors of agreeing gaps take the endpoints' class
-///      without solving.
-///
-/// Exact whenever every same-class band of the true row is at least as
-/// wide as the seed stride; a narrower band strictly inside an agreeing
-/// gap is missed by construction (DESIGN.md §11).
-class AdaptiveRowTracer {
- public:
-  AdaptiveRowTracer(size_t width) : known_(width, 0), cls_(width, Ffm::kUnknown) {}
-
-  void set_known(size_t ix, Ffm cls) {
-    known_[ix] = 1;
-    cls_[ix] = cls;
-  }
-  bool is_known(size_t ix) const { return known_[ix] != 0; }
-  Ffm cls(size_t ix) const { return cls_[ix]; }
-
-  /// Unknown seed indices (ascending).
-  std::vector<size_t> seeds() const {
-    std::vector<size_t> out;
-    const size_t w = known_.size();
-    for (size_t ix = 0; ix < w; ix += 4)
-      if (!known_[ix]) out.push_back(ix);
-    if (w > 1 && (w - 1) % 4 != 0 && !known_[w - 1]) out.push_back(w - 1);
-    return out;
-  }
-
-  /// Midpoints of every gap between adjacent known points of disagreeing
-  /// class (ascending); empty when bisection has converged.
-  std::vector<size_t> bisection_wave() const {
-    std::vector<size_t> mids;
-    size_t prev = known_.size();  // sentinel: none yet
-    for (size_t ix = 0; ix < known_.size(); ++ix) {
-      if (!known_[ix]) continue;
-      if (prev < ix && ix > prev + 1 && cls_[prev] != cls_[ix])
-        mids.push_back(prev + (ix - prev) / 2);
-      prev = ix;
-    }
-    return mids;
-  }
-
-  /// Interior indices of agreeing gaps with the class they inherit. Only
-  /// valid after bisection converged (every remaining gap agrees).
-  std::vector<std::pair<size_t, Ffm>> inferred_fill() const {
-    std::vector<std::pair<size_t, Ffm>> out;
-    size_t prev = known_.size();
-    for (size_t ix = 0; ix < known_.size(); ++ix) {
-      if (!known_[ix]) continue;
-      if (prev < ix && ix > prev + 1 && cls_[prev] == cls_[ix])
-        for (size_t j = prev + 1; j < ix; ++j) out.emplace_back(j, cls_[prev]);
-      prev = ix;
-    }
-    return out;
-  }
-
- private:
-  std::vector<char> known_;
-  std::vector<Ffm> cls_;
 };
 
 }  // namespace
 
 RegionMap sweep_region(const SweepSpec& spec, const ExecutionPolicy& policy) {
-  const EnginePlan& plan = policy.plan;
   PF_CHECK(!spec.r_axis.empty() && !spec.u_axis.empty());
   const auto lines = dram::floating_lines_for(spec.defect, spec.params);
   PF_CHECK_MSG(spec.floating_line_index < lines.size(),
@@ -298,7 +228,7 @@ RegionMap sweep_region(const SweepSpec& spec, const ExecutionPolicy& policy) {
       if (!done.at(ix, iy)) pending.push_back(iy * width + ix);
 
   const ParallelGridRunner runner(policy);
-  // Compile-once pipeline (EnginePlan::circuit_mode): one circuit template
+  // Compile-once pipeline (ExecutionPolicy::circuit_mode): one circuit template
   // is built per sweep and shared read-only; each worker lazily clones a
   // private session from it and restamps + resets that column per point
   // instead of rebuilding the netlist and re-running the symbolic analysis.
@@ -306,7 +236,7 @@ RegionMap sweep_region(const SweepSpec& spec, const ExecutionPolicy& policy) {
   // (the reference path). Either way the only mutable state shared between
   // workers is the journal (self-serializing).
   std::unique_ptr<SosSession> prototype;
-  if (plan.circuit_mode == CircuitMode::kReuse && !pending.empty()) {
+  if (policy.circuit_mode == CircuitMode::kReuse && !pending.empty()) {
     // Cross-sweep reuse: a campaign runner hands compiled sessions from one
     // job to the next through a SessionCache keyed by row-family. A cache
     // hit skips the compile entirely and keeps the post-initialization
@@ -352,25 +282,13 @@ RegionMap sweep_region(const SweepSpec& spec, const ExecutionPolicy& policy) {
     ctx.sos = sos_label;
     return ctx;
   };
-  // Per-point outcome slots, indexed by flat grid index. Each slot is
-  // written by exactly one worker (a worker owns its claimed point or row),
-  // and all slots are merged in grid order after the workers join.
-  std::vector<PointOutcome> outcomes(width * height);
-  std::vector<char> ran(width * height, 0);
-  const auto record = [&](size_t ix, size_t iy) {
-    const PointOutcome& out = outcomes[iy * width + ix];
-    ran[iy * width + ix] = 1;
-    if (journal) {
-      SweepJournal::Entry e;
-      e.ix = ix;
-      e.iy = iy;
-      e.ffm = out.ffm;
-      e.attempts = out.attempts;
-      journal->append(e, spec.r_axis[iy], spec.u_axis[ix]);
-    }
-  };
-  // One point through the full retry loop, recorded into its slot.
-  const auto solve = [&](size_t ix, size_t iy, int worker) {
+  // One runner index per pending point. Each outcome slot is written by the
+  // one worker that claimed its point; the slots are merged in grid order
+  // after the workers join.
+  std::vector<PointOutcome> outcomes(pending.size());
+  runner.run(pending.size(), [&](size_t k, int worker) {
+    const size_t ix = pending[k] % width;
+    const size_t iy = pending[k] / width;
     dram::Defect defect = spec.defect;
     defect.resistance = spec.r_axis[iy];
     const RobustOutcome ro =
@@ -380,7 +298,7 @@ RegionMap sweep_region(const SweepSpec& spec, const ExecutionPolicy& policy) {
                              ctx_for(ix, iy))
             : run_sos_robust(run_spec.params, defect, &line, spec.u_axis[ix],
                              spec.sos, policy.retry, ctx_for(ix, iy));
-    PointOutcome& out = outcomes[iy * width + ix];
+    PointOutcome& out = outcomes[k];
     out.attempts = ro.attempts;
     out.solved = ro.solved;
     if (ro.solved) {
@@ -390,57 +308,22 @@ RegionMap sweep_region(const SweepSpec& spec, const ExecutionPolicy& policy) {
       out.ffm = Ffm::kSolveFailed;
       out.error = ro.error;
     }
-    record(ix, iy);
-  };
-
-  if (!plan.adaptive) {
-    // Point dispatch: one runner index per pending grid point.
-    runner.run(pending.size(), [&](size_t k, int worker) {
-      solve(pending[k] % width, pending[k] / width, worker);
-    });
-  } else {
-    // Row dispatch for adaptive tracing: one runner index per grid row with
-    // pending points. Seed, bisect disagreeing gaps in waves, infer the
-    // interiors of agreeing gaps.
-    std::vector<size_t> rows;
-    for (size_t flat : pending)
-      if (rows.empty() || rows.back() != flat / width)
-        rows.push_back(flat / width);
-    runner.run(rows.size(), [&](size_t k, int worker) {
-      const size_t iy = rows[k];
-      AdaptiveRowTracer tracer(width);
-      for (size_t ix = 0; ix < width; ++ix)
-        if (done.at(ix, iy)) tracer.set_known(ix, grid.at(ix, iy));
-      for (std::vector<size_t> wave = tracer.seeds();;) {
-        for (size_t ix : wave) {
-          solve(ix, iy, worker);
-          tracer.set_known(ix, outcomes[iy * width + ix].ffm);
-        }
-        wave = tracer.bisection_wave();
-        if (wave.empty()) break;
-      }
-      for (const auto& [ix, cls] : tracer.inferred_fill()) {
-        PointOutcome& out = outcomes[iy * width + ix];
-        out.ffm = cls;
-        out.solved = true;
-        out.inferred = true;
-        out.attempts = 0;
-        record(ix, iy);
-      }
-    });
-  }
+    if (journal) {
+      SweepJournal::Entry e;
+      e.ix = ix;
+      e.iy = iy;
+      e.ffm = out.ffm;
+      e.attempts = out.attempts;
+      journal->append(e, spec.r_axis[iy], spec.u_axis[ix]);
+    }
+  });
 
   // Deterministic merge in row-major grid order: the grid cells and the
   // stats (including failure_log order) are independent of worker
   // scheduling.
-  for (size_t flat = 0; flat < width * height; ++flat) {
-    if (!ran[flat]) continue;
-    const PointOutcome& out = outcomes[flat];
-    grid.at(flat % width, flat / width) = out.ffm;
-    if (out.inferred) {
-      ++stats.inferred;
-      continue;
-    }
+  for (size_t k = 0; k < pending.size(); ++k) {
+    const PointOutcome& out = outcomes[k];
+    grid.at(pending[k] % width, pending[k] / width) = out.ffm;
     ++stats.attempted;
     stats.retries +=
         static_cast<size_t>(out.attempts > 0 ? out.attempts - 1 : 0);

@@ -147,11 +147,10 @@ SosOutcome SosSession::run_from_trie(const dram::FloatingLine* line, double u,
   // Keep a snapshot unless a fault-injection test fired into its
   // trajectory (SimStats travel with snapshots, so the count covers every
   // restored step too): a corrupted attempt must not leak into the runs
-  // that would restore it. Runs without a completing prefix (sweeps) still
-  // store their root unconditionally: the fuzz harness's planted-mutation
-  // test convicts its corrupted grid point only through that spread.
+  // that would restore it, so an injected fault stays confined to its own
+  // point exactly as under kRebuild.
   const auto store = [&](size_t depth) {
-    if (leading > 0 && column_.sim_stats().injected_faults != 0) return;
+    if (column_.sim_stats().injected_faults != 0) return;
     Snapshot s;
     s.init_victim = sos.initial_victim;
     s.init_aggressor = sos.initial_aggressor;

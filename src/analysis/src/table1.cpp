@@ -19,87 +19,99 @@ std::vector<Sos> base_soses() {
   return out;
 }
 
+pf::Interval site_r_range(OpenSite site, const Table1Options& options) {
+  if (site == OpenSite::kWordLine)
+    return {options.r_min_wordline, options.r_max_wordline};
+  const bool cell_internal =
+      site == OpenSite::kCell || site == OpenSite::kRefCell;
+  return {options.r_min,
+          cell_internal ? options.r_max_cell : options.r_max_default};
+}
+
+std::vector<Table1Row> analyze_table1_site(const dram::DramParams& params,
+                                           OpenSite site,
+                                           const Table1Options& options,
+                                           const SiteMapSource& map_for) {
+  const dram::Defect proto = dram::Defect::open(site, 1e6);
+  const auto lines = dram::floating_lines_for(proto, params);
+  const std::vector<Sos> soses = base_soses();
+  std::vector<Table1Row> rows;
+  for (size_t li = 0; li < lines.size(); ++li) {
+    for (size_t si = 0; si < soses.size(); ++si) {
+      const RegionMap map = map_for(li, si);
+      if (map.failed_points() > 0)
+        PF_LOG_INFO("table1 sweep "
+                    << dram::defect_name(proto) << " / " << lines[li].label
+                    << " / " << soses[si].to_string() << ": observed only "
+                    << 100.0 * map.observed_fraction() << "% of the grid ("
+                    << map.failed_points() << " unsolved points)");
+      for (const PartialFaultFinding& finding : identify_partial_faults(map)) {
+        if (!finding.partial || finding.ffm == Ffm::kUnknown) continue;
+        const bool dup = std::any_of(
+            rows.begin(), rows.end(), [&](const Table1Row& r) {
+              return r.sim_ffm == finding.ffm &&
+                     r.initialized_voltage == lines[li].label;
+            });
+        if (dup) continue;
+        PF_LOG_INFO("partial " << faults::ffm_name(finding.ffm) << " at "
+                               << dram::defect_name(proto) << " / "
+                               << lines[li].label);
+        Table1Row row;
+        row.sim_ffm = finding.ffm;
+        row.com_ffm = faults::complement_ffm(finding.ffm);
+        row.site = site;
+        row.initialized_voltage = lines[li].label;
+        row.min_r_def = finding.min_r_def;
+        row.band_coverage = finding.best_coverage;
+
+        CompletionSpec cspec;
+        cspec.params = params;
+        cspec.defect = proto;
+        cspec.floating_line_index = li;
+        cspec.base.sos = soses[si];
+        cspec.probe_u = pf::linspace(lines[li].min_v, lines[li].max_v,
+                                     options.probe_u_points);
+        cspec.max_prefix_ops = options.max_prefix_ops;
+        cspec.exec = options.exec;
+        cspec.exec.journal_path.clear();  // probes are not journaled
+        const CompletionResult comp = search_completing_ops_with_fallback(
+            cspec, map, finding.ffm, /*rows_per_window=*/1,
+            options.fallback_windows);
+        row.completable = comp.possible;
+        if (comp.possible) row.completed = comp.completed;
+        rows.push_back(std::move(row));
+      }
+    }
+  }
+  return rows;
+}
+
 std::vector<Table1Row> generate_table1(const dram::DramParams& params,
                                        const Table1Options& options) {
-  const ExecutionPolicy& exec = options.exec;
+  const std::vector<Sos> soses = base_soses();
   std::vector<Table1Row> rows;
   for (OpenSite site : options.sites) {
     const dram::Defect proto = dram::Defect::open(site, 1e6);
-    const bool cell_internal =
-        site == OpenSite::kCell || site == OpenSite::kRefCell;
-    double r_min = options.r_min;
-    double r_max = cell_internal ? options.r_max_cell : options.r_max_default;
-    if (site == OpenSite::kWordLine) {
-      r_min = options.r_min_wordline;
-      r_max = options.r_max_wordline;
-    }
     const auto lines = dram::floating_lines_for(proto, params);
-    for (size_t li = 0; li < lines.size(); ++li) {
-      size_t sos_index = 0;
-      for (const Sos& sos : base_soses()) {
-        SweepSpec spec;
-        spec.params = params;
-        spec.defect = proto;
-        spec.floating_line_index = li;
-        spec.sos = sos;
-        spec.r_axis = pf::logspace(r_min, r_max, options.r_points);
-        spec.u_axis =
-            pf::linspace(lines[li].min_v, lines[li].max_v, options.u_points);
-        ExecutionPolicy sweep_exec = exec;
-        if (!sweep_exec.journal_path.empty())
-          sweep_exec.journal_path += "-open" +
-                                     std::to_string(dram::open_number(site)) +
-                                     "-line" + std::to_string(li) + "-sos" +
-                                     std::to_string(sos_index) + ".csv";
-        ++sos_index;
-        const RegionMap map = sweep_region(spec, sweep_exec);
-        if (map.failed_points() > 0)
-          PF_LOG_INFO("table1 sweep "
-                      << dram::defect_name(proto) << " / " << lines[li].label
-                      << " / " << sos.to_string() << ": observed only "
-                      << 100.0 * map.observed_fraction()
-                      << "% of the grid (" << map.failed_points()
-                      << " unsolved points)");
-        for (const PartialFaultFinding& finding :
-             identify_partial_faults(map)) {
-          if (!finding.partial || finding.ffm == Ffm::kUnknown) continue;
-          // Deduplicate: keep one row per (FFM, site, line label).
-          const bool dup = std::any_of(
-              rows.begin(), rows.end(), [&](const Table1Row& r) {
-                return r.sim_ffm == finding.ffm && r.site == site &&
-                       r.initialized_voltage == lines[li].label;
-              });
-          if (dup) continue;
-          PF_LOG_INFO("partial " << faults::ffm_name(finding.ffm) << " at "
-                                 << dram::defect_name(proto) << " / "
-                                 << lines[li].label);
-          Table1Row row;
-          row.sim_ffm = finding.ffm;
-          row.com_ffm = faults::complement_ffm(finding.ffm);
-          row.site = site;
-          row.initialized_voltage = lines[li].label;
-          row.min_r_def = finding.min_r_def;
-          row.band_coverage = finding.best_coverage;
-
-          CompletionSpec cspec;
-          cspec.params = params;
-          cspec.defect = proto;
-          cspec.floating_line_index = li;
-          cspec.base.sos = sos;
-          cspec.probe_u = pf::linspace(lines[li].min_v, lines[li].max_v,
-                                       options.probe_u_points);
-          cspec.max_prefix_ops = options.max_prefix_ops;
-          cspec.exec = exec;
-          cspec.exec.journal_path.clear();  // probes are not journaled
-          const CompletionResult comp = search_completing_ops_with_fallback(
-              cspec, map, finding.ffm, /*rows_per_window=*/1,
-              options.fallback_windows);
-          row.completable = comp.possible;
-          if (comp.possible) row.completed = comp.completed;
-          rows.push_back(std::move(row));
-        }
-      }
-    }
+    const pf::Interval r_range = site_r_range(site, options);
+    const auto sweep = [&](size_t li, size_t si) {
+      SweepSpec spec;
+      spec.params = params;
+      spec.defect = proto;
+      spec.floating_line_index = li;
+      spec.sos = soses[si];
+      spec.r_axis = pf::logspace(r_range.lo, r_range.hi, options.r_points);
+      spec.u_axis =
+          pf::linspace(lines[li].min_v, lines[li].max_v, options.u_points);
+      ExecutionPolicy exec = options.exec;
+      if (!exec.journal_path.empty())
+        exec.journal_path += "-open" + std::to_string(dram::open_number(site)) +
+                             "-line" + std::to_string(li) + "-sos" +
+                             std::to_string(si) + ".csv";
+      return sweep_region(spec, exec);
+    };
+    for (Table1Row& row : analyze_table1_site(params, site, options, sweep))
+      rows.push_back(std::move(row));
   }
   std::sort(rows.begin(), rows.end(), [](const Table1Row& a,
                                          const Table1Row& b) {

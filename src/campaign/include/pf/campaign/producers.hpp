@@ -29,9 +29,9 @@ namespace pf::campaign {
 
 /// Table 1 as a campaign: one sweep job per (site, floating line, base SOS)
 /// named "open{N}-line{L}-sos{S}", plus one custom analysis job per site
-/// ("open{N}-analysis") depending on that site's sweeps — it identifies the
-/// partial faults and runs the completion searches, exactly like the
-/// matching slice of generate_table1. Sites/grid/ranges come from
+/// ("open{N}-analysis") depending on that site's sweeps — it runs
+/// analysis::analyze_table1_site, the per-site loop generate_table1 runs
+/// too, over the sweeps' maps. Sites/grid/ranges come from
 /// `options`; options.exec drives the completion probes inside the analysis
 /// jobs (the sweeps themselves run under CampaignOptions::exec).
 CampaignSpec table1_campaign(const analysis::Table1Options& options = {});

@@ -22,24 +22,6 @@ using service::Json;
 using service::JsonArray;
 using service::JsonObject;
 
-/// Inverse of dram::open_number for the sites a JobSpec can express
-/// (service/job.cpp keeps the same table in its anonymous namespace).
-OpenSite site_for_number(int n) {
-  switch (n) {
-    case 0: return OpenSite::kBitLineOuterComp;
-    case 1: return OpenSite::kCell;
-    case 2: return OpenSite::kRefCell;
-    case 3: return OpenSite::kPrecharge;
-    case 4: return OpenSite::kBitLineOuter;
-    case 5: return OpenSite::kBitLineMid;
-    case 6: return OpenSite::kBitLineSense;
-    case 7: return OpenSite::kSenseAmp;
-    case 8: return OpenSite::kIoPath;
-    case 9: return OpenSite::kWordLine;
-    default: throw pf::Error("campaign: bad open number " + std::to_string(n));
-  }
-}
-
 std::string sweep_job_id(int open_number, size_t line, size_t sos) {
   return "open" + std::to_string(open_number) + "-line" +
          std::to_string(line) + "-sos" + std::to_string(sos);
@@ -47,19 +29,6 @@ std::string sweep_job_id(int open_number, size_t line, size_t sos) {
 
 std::string analysis_job_id(int open_number) {
   return "open" + std::to_string(open_number) + "-analysis";
-}
-
-/// The R_def range generate_table1 analyzes for a site.
-void site_r_range(OpenSite site, const analysis::Table1Options& options,
-                  double* r_min, double* r_max) {
-  const bool cell_internal =
-      site == OpenSite::kCell || site == OpenSite::kRefCell;
-  *r_min = options.r_min;
-  *r_max = cell_internal ? options.r_max_cell : options.r_max_default;
-  if (site == OpenSite::kWordLine) {
-    *r_min = options.r_min_wordline;
-    *r_max = options.r_max_wordline;
-  }
 }
 
 Json row_to_json(const analysis::Table1Row& row) {
@@ -79,7 +48,11 @@ analysis::Table1Row row_from_json(const Json& json) {
   analysis::Table1Row row;
   row.sim_ffm = faults::ffm_by_name(json.get("sim_ffm").as_string());
   row.com_ffm = faults::ffm_by_name(json.get("com_ffm").as_string());
-  row.site = site_for_number(int(json.get("open").as_number()));
+  const int open = int(json.get("open").as_number());
+  const std::optional<OpenSite> site = dram::open_site_for_number(open);
+  if (!site)
+    throw pf::Error("campaign: bad open number " + std::to_string(open));
+  row.site = *site;
   row.initialized_voltage = json.get("line").as_string();
   row.min_r_def = json.get("min_r_def").as_number();
   row.band_coverage = json.get("band_coverage").as_number();
@@ -90,74 +63,17 @@ analysis::Table1Row row_from_json(const Json& json) {
   return row;
 }
 
-/// One site's slice of generate_table1's analysis: identify the partial
-/// faults on every (line, SOS) map, dedup per (FFM, line label) — the
-/// original dedups on (FFM, site, line label) over a global row list, which
-/// per-site slicing reproduces exactly — and run the completion search.
+/// One site's analysis job: the shared Table 1 site analysis over the maps
+/// of the site's sweep jobs.
 Json analyze_site(const DepContext& ctx, OpenSite site,
                   const analysis::Table1Options& options) {
-  const dram::DramParams params;  // the wire JobSpec's reference params
-  const dram::Defect proto = dram::Defect::open(site, 1e6);
-  const auto lines = dram::floating_lines_for(proto, params);
-  const std::vector<Sos> soses = analysis::base_soses();
   const int number = dram::open_number(site);
-
-  std::vector<analysis::Table1Row> rows;
-  for (size_t li = 0; li < lines.size(); ++li) {
-    for (size_t si = 0; si < soses.size(); ++si) {
-      const analysis::RegionMap& map = ctx.map(sweep_job_id(number, li, si));
-      if (map.failed_points() > 0)
-        PF_LOG_INFO("table1 sweep " << dram::defect_name(proto) << " / "
-                                    << lines[li].label << " / "
-                                    << soses[si].to_string()
-                                    << ": observed only "
-                                    << 100.0 * map.observed_fraction()
-                                    << "% of the grid ("
-                                    << map.failed_points()
-                                    << " unsolved points)");
-      for (const analysis::PartialFaultFinding& finding :
-           analysis::identify_partial_faults(map)) {
-        if (!finding.partial || finding.ffm == Ffm::kUnknown) continue;
-        const bool dup = std::any_of(
-            rows.begin(), rows.end(), [&](const analysis::Table1Row& r) {
-              return r.sim_ffm == finding.ffm &&
-                     r.initialized_voltage == lines[li].label;
-            });
-        if (dup) continue;
-        PF_LOG_INFO("partial " << faults::ffm_name(finding.ffm) << " at "
-                               << dram::defect_name(proto) << " / "
-                               << lines[li].label);
-        analysis::Table1Row row;
-        row.sim_ffm = finding.ffm;
-        row.com_ffm = faults::complement_ffm(finding.ffm);
-        row.site = site;
-        row.initialized_voltage = lines[li].label;
-        row.min_r_def = finding.min_r_def;
-        row.band_coverage = finding.best_coverage;
-
-        analysis::CompletionSpec cspec;
-        cspec.params = params;
-        cspec.defect = proto;
-        cspec.floating_line_index = li;
-        cspec.base.sos = soses[si];
-        cspec.probe_u = pf::linspace(lines[li].min_v, lines[li].max_v,
-                                     options.probe_u_points);
-        cspec.max_prefix_ops = options.max_prefix_ops;
-        cspec.exec = options.exec;
-        cspec.exec.journal_path.clear();  // probes are not journaled
-        const analysis::CompletionResult comp =
-            analysis::search_completing_ops_with_fallback(
-                cspec, map, finding.ffm, /*rows_per_window=*/1,
-                options.fallback_windows);
-        row.completable = comp.possible;
-        if (comp.possible) row.completed = comp.completed;
-        rows.push_back(std::move(row));
-      }
-    }
-  }
-
   JsonArray out;
-  for (const analysis::Table1Row& row : rows) out.push_back(row_to_json(row));
+  for (const analysis::Table1Row& row : analysis::analyze_table1_site(
+           dram::DramParams{}, site, options, [&](size_t li, size_t si) {
+             return ctx.map(sweep_job_id(number, li, si));
+           }))
+    out.push_back(row_to_json(row));
   return Json(std::move(out));
 }
 
@@ -171,8 +87,7 @@ CampaignSpec table1_campaign(const analysis::Table1Options& options) {
     const dram::Defect proto = dram::Defect::open(site, 1e6);
     const auto lines = dram::floating_lines_for(proto, params);
     const int number = dram::open_number(site);
-    double r_min = 0.0, r_max = 0.0;
-    site_r_range(site, options, &r_min, &r_max);
+    const pf::Interval r_range = analysis::site_r_range(site, options);
 
     CampaignJob analysis_job;
     analysis_job.id = analysis_job_id(number);
@@ -189,8 +104,8 @@ CampaignSpec table1_campaign(const analysis::Table1Options& options) {
         job.sweep.sos_text = sos.to_string();
         job.sweep.r_points = options.r_points;
         job.sweep.u_points = options.u_points;
-        job.sweep.r_min = r_min;
-        job.sweep.r_max = r_max;
+        job.sweep.r_min = r_range.lo;
+        job.sweep.r_max = r_range.hi;
         job.sweep.threads = options.exec.threads;
         analysis_job.deps.push_back(job.id);
         spec.jobs.push_back(std::move(job));

@@ -7,6 +7,7 @@
 
 #include "pf/campaign/fault_injection.hpp"
 #include "pf/util/error.hpp"
+#include "pf/util/fnv1a.hpp"
 #include "pf/util/strings.hpp"
 
 namespace pf::campaign {
@@ -20,15 +21,6 @@ bool valid_id(const std::string& id) {
     if (!ok) return false;
   }
   return true;
-}
-
-void fnv1a(uint64_t& hash, std::string_view s) {
-  for (const char c : s) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ull;
-  }
-  hash ^= '\x1f';  // field separator, so "ab"+"c" != "a"+"bc"
-  hash *= 1099511628211ull;
 }
 
 }  // namespace
@@ -126,14 +118,18 @@ std::vector<size_t> CampaignSpec::topo_order() const {
 }
 
 uint64_t CampaignSpec::fingerprint() const {
-  uint64_t hash = 1469598103934665603ull;  // FNV offset basis
+  uint64_t hash = pf::kFnv1aOffsetBasis;
+  // The separator keeps "ab"+"c" != "a"+"bc".
+  const auto field = [&](std::string_view s) {
+    hash = pf::fnv1a("\x1f", pf::fnv1a(s, hash));
+  };
   for (const CampaignJob& job : jobs) {
-    fnv1a(hash, job.id);
-    for (const std::string& dep : job.deps) fnv1a(hash, dep);
+    field(job.id);
+    for (const std::string& dep : job.deps) field(dep);
     if (job.kind == CampaignJob::Kind::kSweep)
-      fnv1a(hash, service::key_hex(job.sweep.cache_key()));
+      field(service::key_hex(job.sweep.cache_key()));
     else
-      fnv1a(hash, "custom");
+      field("custom");
   }
   return hash;
 }

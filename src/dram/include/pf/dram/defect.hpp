@@ -4,6 +4,7 @@
 // to the signal lines it leaves floating.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -73,6 +74,10 @@ struct Defect {
 std::string defect_name(const Defect& defect);
 /// The paper's number for an open site (1..9), 0 otherwise.
 int open_number(OpenSite site);
+/// Inverse of open_number as the wire formats spell it (job specs, campaign
+/// rows): 1..9 name the paper's opens and 0 names Open 4', the one site
+/// open_number cannot tell apart. nullopt for any other number.
+std::optional<OpenSite> open_site_for_number(int number);
 
 /// A signal line that a defect leaves floating, per the rules of Section 2
 /// of the paper. The fault-analysis method sweeps the line's voltage U:

@@ -23,6 +23,17 @@ int open_number(OpenSite site) {
   return 0;
 }
 
+std::optional<OpenSite> open_site_for_number(int number) {
+  static constexpr OpenSite kSites[] = {
+      OpenSite::kBitLineOuterComp, OpenSite::kCell,
+      OpenSite::kRefCell,          OpenSite::kPrecharge,
+      OpenSite::kBitLineOuter,     OpenSite::kBitLineMid,
+      OpenSite::kBitLineSense,     OpenSite::kSenseAmp,
+      OpenSite::kIoPath,           OpenSite::kWordLine};
+  if (number < 0 || number > 9) return std::nullopt;
+  return kSites[number];
+}
+
 std::string defect_name(const Defect& defect) {
   switch (defect.kind) {
     case DefectKind::kNone: return "fault-free";

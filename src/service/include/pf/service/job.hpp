@@ -54,14 +54,12 @@ struct JobSpec {
   int max_attempts = 0;              ///< 0 = RetryPolicy default
   double throttle_ms = 0.0;          ///< sleep per grid point (crash-window
                                      ///< widener for the kill -9 tests)
-  bool adaptive = false;             ///< adaptive boundary tracing (see
-                                     ///< EnginePlan::adaptive)
 
   /// Parse + validate a submit request's "job" object. Throws
   /// pf::ParseError with a field-specific message on anything out of
   /// bounds, unknown, or inconsistent (e.g. a floating-line index the
   /// defect does not produce). Only known keys are read: a key an older
-  /// client still sends (such as the retired "backend") is ignored.
+  /// client still sends (the retired "backend" and "adaptive") is ignored.
   static JobSpec from_json(const Json& json, const JobLimits& limits = {});
 
   /// Wire encoding; from_json(to_json()) round-trips exactly.

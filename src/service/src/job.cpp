@@ -7,6 +7,7 @@
 #include "pf/analysis/checkpoint.hpp"
 #include "pf/dram/defect.hpp"
 #include "pf/util/error.hpp"
+#include "pf/util/fnv1a.hpp"
 #include "pf/util/grid.hpp"
 
 namespace pf::service {
@@ -14,23 +15,6 @@ namespace {
 
 [[noreturn]] void reject(const std::string& what) {
   throw pf::ParseError("job: " + what);
-}
-
-dram::OpenSite site_for_number(int n) {
-  using dram::OpenSite;
-  switch (n) {
-    case 0: return OpenSite::kBitLineOuterComp;  // the paper's Open 4'
-    case 1: return OpenSite::kCell;
-    case 2: return OpenSite::kRefCell;
-    case 3: return OpenSite::kPrecharge;
-    case 4: return OpenSite::kBitLineOuter;
-    case 5: return OpenSite::kBitLineMid;
-    case 6: return OpenSite::kBitLineSense;
-    case 7: return OpenSite::kSenseAmp;
-    case 8: return OpenSite::kIoPath;
-    case 9: return OpenSite::kWordLine;
-    default: reject("open_site must be 0 (Open 4') or 1..9");
-  }
 }
 
 double require_number(const Json& obj, const std::string& key, double lo,
@@ -50,15 +34,6 @@ long long require_integer(const Json& obj, const std::string& key, double lo,
   const double v = require_number(obj, key, lo, hi, fallback);
   if (v != std::floor(v)) reject(key + " must be an integer");
   return static_cast<long long>(v);
-}
-
-uint64_t fnv1a_fold(uint64_t seed, const std::string& text) {
-  uint64_t h = seed;
-  for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
 }
 
 }  // namespace
@@ -100,9 +75,6 @@ JobSpec JobSpec::from_json(const Json& json, const JobLimits& limits) {
   job.max_attempts = int(require_integer(json, "max_attempts", 0, 10, 0));
   job.throttle_ms =
       require_number(json, "throttle_ms", 0.0, limits.max_throttle_ms, 0.0);
-  if (json.has("adaptive") && !json.get("adaptive").is_bool())
-    reject("adaptive must be a boolean");
-  job.adaptive = json.bool_or("adaptive", job.adaptive);
 
   // Materialization catches the cross-field inconsistencies (bad SOS
   // notation, a line index this defect does not produce) up front, at
@@ -127,7 +99,6 @@ Json JobSpec::to_json() const {
   obj["deadline_seconds"] = Json(deadline_seconds);
   obj["max_attempts"] = Json(max_attempts);
   obj["throttle_ms"] = Json(throttle_ms);
-  obj["adaptive"] = Json(adaptive);
   return Json(std::move(obj));
 }
 
@@ -140,8 +111,12 @@ analysis::SweepSpec JobSpec::to_sweep_spec() const {
 
   // Sweep resistance comes from the r axis; the defect's own value is a
   // placeholder (sweep_region ignores it).
+  const std::optional<dram::OpenSite> site =
+      dram::open_site_for_number(open_site);
+  if (defect_kind == "open" && !site)
+    reject("open_site must be 0 (Open 4') or 1..9");
   if (defect_kind == "open")
-    spec.defect = dram::Defect::open(site_for_number(open_site), 1e6);
+    spec.defect = dram::Defect::open(*site, 1e6);
   else if (defect_kind == "short_gnd")
     spec.defect = dram::Defect::short_to_ground(1e6);
   else if (defect_kind == "short_vdd")
@@ -181,7 +156,6 @@ analysis::ExecutionPolicy JobSpec::to_policy() const {
   policy.threads = threads;
   if (max_attempts > 0) policy.retry.max_attempts = max_attempts;
   policy.deadline_seconds = deadline_seconds;
-  policy.plan.adaptive = adaptive;
   return policy;
 }
 
@@ -192,7 +166,7 @@ uint64_t JobSpec::cache_key() const {
   // RESULTS, must distinguish them. Fold in the one exposed knob.
   char buf[32];
   std::snprintf(buf, sizeof(buf), "T=%.6f", temperature_c);
-  return fnv1a_fold(fp ^ 0x70665f63616368ULL, buf);  // "pf_cach" salt
+  return pf::fnv1a(buf, fp ^ 0x70665f63616368ULL);  // "pf_cach" salt
 }
 
 std::string JobSpec::describe() const {

@@ -120,11 +120,6 @@ struct FuzzCase {
   std::string repro(uint64_t seed) const;
 };
 
-/// Physically meaningful R_def range for a site (mirrors Table1Options:
-/// cell-internal opens up to 1 MOhm, the word-line open 100 kOhm..1 GOhm,
-/// array/periphery opens 10 kOhm..10 MOhm).
-void site_r_range(dram::OpenSite site, double* lo, double* hi);
-
 struct CaseGenConfig {
   /// Open sites to draw from; empty = every site the analysis covers
   /// (including the complementary Open 4' but not the word line, whose

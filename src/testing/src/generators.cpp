@@ -257,24 +257,6 @@ std::string FuzzCase::repro(uint64_t seed) const {
   return os.str();
 }
 
-void site_r_range(dram::OpenSite site, double* lo, double* hi) {
-  switch (site) {
-    case dram::OpenSite::kCell:
-    case dram::OpenSite::kRefCell:
-      *lo = 10e3;
-      *hi = 1e6;
-      return;
-    case dram::OpenSite::kWordLine:
-      *lo = 100e3;
-      *hi = 1e9;
-      return;
-    default:
-      *lo = 10e3;
-      *hi = 10e6;
-      return;
-  }
-}
-
 FuzzCase random_case(Rng& rng, const CaseGenConfig& cfg) {
   static const std::vector<dram::OpenSite> kDefaultSites = {
       dram::OpenSite::kCell,          dram::OpenSite::kPrecharge,
@@ -311,9 +293,10 @@ FuzzCase random_case(Rng& rng, const CaseGenConfig& cfg) {
     c.sos = random_sos(rng, sg);
   }
 
-  // Axes: a short log window inside the site's meaningful range.
-  double lo = 0.0, hi = 0.0;
-  site_r_range(c.site, &lo, &hi);
+  // Axes: a short log window inside the site's default Table 1 range.
+  const pf::Interval range = analysis::site_r_range(c.site, {});
+  const double lo = range.lo;
+  const double hi = range.hi;
   const double span = std::log10(hi / lo);
   const double w_lo = rng.next_double(0.0, span * 0.6);
   const double w_hi = rng.next_double(w_lo + span * 0.25, span);

@@ -160,7 +160,7 @@ TrialResult run_differential_trial(const FuzzCase& c,
   const analysis::SweepSpec spec = c.sweep_spec();
   analysis::ExecutionPolicy policy;
   policy.threads = c.threads;
-  policy.plan.circuit_mode = c.circuit;
+  policy.circuit_mode = c.circuit;
   policy.retry = opts.retry;
   const analysis::RegionMap map = sweep_region(spec, policy);
 

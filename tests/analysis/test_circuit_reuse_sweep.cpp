@@ -1,9 +1,7 @@
-// Golden equivalence of the execution engine across the plan matrix:
-// {dense, adaptive} sweep modes x {1, N} worker threads must reproduce the
-// per-point rebuild path's map — the dense mode bit for bit (same CSV, same
-// rendering, same stats), the adaptive mode boundary-identically (same
-// grid, with inferred points in the stats) — with the fault-injection and
-// journal machinery layered on top.
+// Golden equivalence of the execution engine: the compile-once reuse path
+// at {1, N} worker threads must reproduce the per-point rebuild path's map
+// bit for bit (same CSV, same rendering, same stats), with the
+// fault-injection and journal machinery layered on top.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -37,18 +35,9 @@ SweepSpec small_spec(const char* sos = "1r1") {
   return spec;
 }
 
-/// A wider row (9 U points) so the adaptive tracer has seed gaps to infer
-/// across; the map's fault bands at this resolution are wider than the
-/// seed stride, which is the regime adaptive mode is exact in.
-SweepSpec wide_spec() {
-  SweepSpec spec = small_spec();
-  spec.u_axis = pf::linspace(0.0, 3.3, 9);
-  return spec;
-}
-
 RegionMap rebuild_reference(const SweepSpec& spec) {
   ExecutionPolicy rebuild;
-  rebuild.plan.circuit_mode = CircuitMode::kRebuild;
+  rebuild.circuit_mode = CircuitMode::kRebuild;
   return sweep_region(spec, rebuild);
 }
 
@@ -74,38 +63,12 @@ TEST(CircuitReuse, ReuseIsBitIdenticalToRebuildAtAnyThreadCount) {
     for (int threads : {1, 4}) {
       ExecutionPolicy reuse;
       reuse.threads = threads;
-      reuse.plan.circuit_mode = CircuitMode::kReuse;
+      reuse.circuit_mode = CircuitMode::kReuse;
       const RegionMap map = sweep_region(spec, reuse);
       expect_equivalent(reference, map,
                         std::string(sos) + " @threads=" +
                             std::to_string(threads));
     }
-  }
-}
-
-TEST(CircuitReuse, AdaptiveTracingMatchesTheDenseMap) {
-  // Adaptive boundary tracing must land on the same GRID as the dense
-  // sweep (bands at this resolution are wider than the seed stride) while
-  // actually inferring points instead of solving them — at any thread
-  // count.
-  const SweepSpec spec = wide_spec();
-  const RegionMap reference = rebuild_reference(spec);
-  ASSERT_EQ(reference.failed_points(), 0u);
-  for (int threads : {1, 4}) {
-    ExecutionPolicy adaptive;
-    adaptive.threads = threads;
-    adaptive.plan.adaptive = true;
-    const RegionMap map = sweep_region(spec, adaptive);
-    const std::string what = "threads=" + std::to_string(threads);
-    EXPECT_EQ(reference.to_csv(), map.to_csv()) << what;
-    EXPECT_EQ(reference.render("t"), map.render("t")) << what;
-    EXPECT_GT(map.solve_stats().inferred, 0u) << what;
-    EXPECT_LT(map.solve_stats().attempted,
-              spec.r_axis.size() * spec.u_axis.size())
-        << what << ": adaptive mode must not evaluate the full grid";
-    EXPECT_EQ(map.solve_stats().attempted + map.solve_stats().inferred,
-              spec.r_axis.size() * spec.u_axis.size())
-        << what;
   }
 }
 
@@ -147,6 +110,41 @@ TEST(CircuitReuse, SessionRunMatchesFreshRunSosAcrossRestamps) {
   }
 }
 
+TEST(CircuitReuse, SetSimOptionsIsCarriedIntoClones) {
+  // The session-level options override must survive clone(): the parallel
+  // sweep fans a configured prototype out to per-worker replicas, and a
+  // replica solving with different numerics would silently break the
+  // bit-identity contract.
+  const DramParams params;
+  const auto defect = Defect::open(OpenSite::kBitLineOuter, 1e6);
+  SosSession session(params, defect);
+
+  spice::SimOptions tightened = params.sim;
+  tightened.dt_initial *= 0.25;
+  tightened.max_nr_iters += 40;
+  session.set_sim_options(tightened);
+  EXPECT_EQ(session.column().params().sim.dt_initial, tightened.dt_initial);
+  EXPECT_EQ(session.column().params().sim.max_nr_iters, tightened.max_nr_iters);
+
+  SosSession replica = session.clone();
+  EXPECT_EQ(replica.column().params().sim.dt_initial, tightened.dt_initial);
+  EXPECT_EQ(replica.column().params().sim.max_nr_iters, tightened.max_nr_iters);
+
+  // And the override is semantically live: the replica's run under its
+  // carried options equals a fresh run_sos under the same options.
+  const auto lines = dram::floating_lines_for(defect, params);
+  ASSERT_FALSE(lines.empty());
+  const Sos sos = Sos::parse("1r1");
+  const SosOutcome reused = replica.run(1e6, tightened, &lines[0], 1.1, sos);
+  DramParams fresh_params = params;
+  fresh_params.sim = tightened;
+  const SosOutcome fresh = run_sos(fresh_params, defect, &lines[0], 1.1, sos);
+  EXPECT_EQ(reused.final_state, fresh.final_state);
+  EXPECT_EQ(reused.read_result, fresh.read_result);
+  EXPECT_EQ(reused.faulty, fresh.faulty);
+  EXPECT_EQ(reused.ffm, fresh.ffm);
+}
+
 TEST(CircuitReuse, InjectedFaultsRetryIdenticallyThroughReuse) {
   // The deterministic injection harness must behave exactly as on the
   // rebuild path: one injection per failed attempt, full recovery inside
@@ -161,7 +159,7 @@ TEST(CircuitReuse, InjectedFaultsRetryIdenticallyThroughReuse) {
                         {grid_point_key(3, 2), fail_twice}});
   ExecutionPolicy reuse;
   reuse.retry.max_attempts = 3;
-  ASSERT_EQ(reuse.plan.circuit_mode, CircuitMode::kReuse);
+  ASSERT_EQ(reuse.circuit_mode, CircuitMode::kReuse);
   const RegionMap map = sweep_region(spec, reuse);
 
   EXPECT_EQ(map.failed_points(), 0u);
@@ -170,12 +168,32 @@ TEST(CircuitReuse, InjectedFaultsRetryIdenticallyThroughReuse) {
   EXPECT_EQ(spice::testing::injections_performed(), 4u);
 }
 
-TEST(CircuitReuse, JournalResumeThroughAdaptiveRows) {
-  // Interrupted-run shape across dispatch modes: a journaled dense sweep
-  // degrades two injected points, then a second parallel ADAPTIVE run
-  // resumes the journal through row dispatch, re-runs only those two and
-  // lands on the rebuild path's clean map. Both points are row ends, i.e.
-  // adaptive seeds, so the resumed run solves them rather than inferring.
+TEST(CircuitReuse, CorruptedPointStaysConfinedToItself) {
+  // A silently wrong solve of one grid point (kCorruptVoltage past the
+  // retry budget) corrupts that point only: SosSession never keeps the
+  // post-initialization root of a trajectory an injected fault touched, so
+  // the rest of the row starts from a clean root and the reused map equals
+  // the rebuild path's under the same plan.
+  const SweepSpec spec = small_spec("0r0");
+  InjectionSpec corrupt;
+  corrupt.kind = InjectedFault::kCorruptVoltage;
+  corrupt.fail_attempts = 1 << 30;
+  std::string csv[2];
+  for (CircuitMode mode : {CircuitMode::kRebuild, CircuitMode::kReuse}) {
+    ScopedFaultPlan plan({{grid_point_key(0, 0), corrupt}});
+    ExecutionPolicy policy;
+    policy.circuit_mode = mode;
+    csv[mode == CircuitMode::kReuse] = sweep_region(spec, policy).to_csv();
+    EXPECT_GT(spice::testing::injections_performed(), 0u);
+  }
+  EXPECT_EQ(csv[1], csv[0]);
+}
+
+TEST(CircuitReuse, JournalResumeAcrossThreadCounts) {
+  // Interrupted-run shape across thread counts: a journaled serial sweep
+  // degrades two injected points, then a second run at 4 threads resumes
+  // the journal, re-runs only those two and lands on the rebuild path's
+  // clean map.
   const SweepSpec spec = small_spec();
   const RegionMap clean = rebuild_reference(spec);
   const std::string path =
@@ -198,41 +216,10 @@ TEST(CircuitReuse, JournalResumeThroughAdaptiveRows) {
     ExecutionPolicy opt;
     opt.threads = 4;
     opt.journal_path = path;
-    opt.plan.adaptive = true;
     const RegionMap map = sweep_region(spec, opt);
     EXPECT_EQ(map.solve_stats().resumed, 10u);
     EXPECT_EQ(map.solve_stats().attempted, 2u);
-    EXPECT_EQ(map.solve_stats().inferred, 0u);
     EXPECT_EQ(map.failed_points(), 0u);
-    EXPECT_EQ(map.to_csv(), clean.to_csv());
-  }
-  std::remove(path.c_str());
-}
-
-TEST(CircuitReuse, AdaptiveJournalResumesIntoDenseAndBack) {
-  // A journal written by an adaptive sweep (evaluated points with
-  // attempts >= 1, inferred points with attempts = 0) must resume into a
-  // dense scalar rerun with nothing left to do — the maps agree, so the
-  // rerun is a pure restore.
-  const SweepSpec spec = wide_spec();
-  const RegionMap clean = rebuild_reference(spec);
-  const std::string path =
-      ::testing::TempDir() + "adaptive_resume_journal.csv";
-  std::remove(path.c_str());
-  {
-    ExecutionPolicy opt;
-    opt.journal_path = path;
-    opt.plan.adaptive = true;
-    const RegionMap map = sweep_region(spec, opt);
-    EXPECT_EQ(map.to_csv(), clean.to_csv());
-  }
-  {
-    ExecutionPolicy opt;
-    opt.journal_path = path;
-    const RegionMap map = sweep_region(spec, opt);
-    EXPECT_EQ(map.solve_stats().resumed,
-              spec.r_axis.size() * spec.u_axis.size());
-    EXPECT_EQ(map.solve_stats().attempted, 0u);
     EXPECT_EQ(map.to_csv(), clean.to_csv());
   }
   std::remove(path.c_str());
@@ -247,9 +234,9 @@ TEST(CircuitReuse, CompletionSearchVerdictMatchesRebuild) {
   spec.probe_u = {0.0, 1.65, 3.3};
   spec.max_prefix_ops = 1;
 
-  spec.exec.plan.circuit_mode = CircuitMode::kRebuild;
+  spec.exec.circuit_mode = CircuitMode::kRebuild;
   const CompletionResult rebuild = search_completing_ops(spec);
-  spec.exec.plan.circuit_mode = CircuitMode::kReuse;
+  spec.exec.circuit_mode = CircuitMode::kReuse;
   const CompletionResult reuse = search_completing_ops(spec);
 
   EXPECT_EQ(rebuild.possible, reuse.possible);

@@ -54,7 +54,7 @@ CompletionSpec spec_for(const DepthCase& c, int depth, CircuitMode mode,
       dram::floating_lines_for(spec.defect, spec.params).at(0);
   spec.probe_u = pf::linspace(line.min_v, line.max_v, 5);
   spec.max_prefix_ops = depth;
-  spec.exec.plan.circuit_mode = mode;
+  spec.exec.circuit_mode = mode;
   spec.exec.threads = threads;
   return spec;
 }

@@ -1,8 +1,9 @@
 // Journal v2 integrity model, exercised fixture by fixture: truncated final
 // row, flipped byte (CRC mismatch), unknown version tag (quarantine),
-// missing END trailer, and transparent v1-format resume. Every corruption
-// must recover the maximum valid prefix and re-attempt the rest — resume is
-// never worse than a fresh start, whatever is on disk.
+// missing END trailer, zero-attempt rows, and transparent v1-format
+// resume. Every corruption must recover the maximum valid prefix and
+// re-attempt the rest — resume is never worse than a fresh start, whatever
+// is on disk.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -338,6 +339,53 @@ TEST(JournalV2, V1JournalResumesTransparently) {
   const SweepJournal::LoadResult reloaded = SweepJournal::load(path, spec);
   EXPECT_EQ(reloaded.entries.size(), 12u);
   EXPECT_TRUE(reloaded.clean_end);
+  std::remove(path.c_str());
+}
+
+TEST(JournalV2, ZeroAttemptRowsReRunOnResume) {
+  // A finished journal in which every fourth row carries attempts = 0: a
+  // point no experiment produced (the retired adaptive tracing filled such
+  // points by inference), here with a class nothing observed. Load must not
+  // trust those rows, so the resumed sweep re-runs them and lands on the
+  // clean map.
+  const SweepSpec spec = small_spec();
+  const RegionMap clean = sweep_region(spec);
+  const std::string path = temp_journal("jv2_zero_attempts.csv");
+  const std::string fingerprint = hex16_of(SweepJournal::fingerprint(spec));
+  std::ostringstream os;
+  os << "# pf-sweep-journal v2 fingerprint=" << fingerprint << '\n'
+     << "iy,ix,r_def,u,ffm,attempts,crc\n";
+  size_t k = 0;
+  for (size_t iy = 0; iy < spec.r_axis.size(); ++iy)
+    for (size_t ix = 0; ix < spec.u_axis.size(); ++ix, ++k) {
+      const bool inferred = k % 4 == 2;
+      const Ffm f = inferred ? Ffm::kSF0 : clean.grid().at(ix, iy);
+      std::ostringstream row;
+      row << iy << ',' << ix << ',' << spec.r_axis[iy] << ','
+          << spec.u_axis[ix] << ','
+          << (f == Ffm::kUnknown ? "-" : faults::ffm_name(f)) << ','
+          << (inferred ? 0 : 1);
+      char crc[9];
+      std::snprintf(crc, sizeof(crc), "%08x", pf::crc32(row.str()));
+      os << row.str() << ',' << crc << '\n';
+    }
+  os << "# pf-sweep-journal END fingerprint=" << fingerprint << '\n';
+  write_file(path, os.str());
+
+  const SweepJournal::LoadResult loaded = SweepJournal::load(path, spec);
+  EXPECT_TRUE(loaded.clean_end);
+  EXPECT_EQ(loaded.entries.size(), 9u);
+  EXPECT_EQ(loaded.dropped, 0u);
+  EXPECT_EQ(loaded.fail_rows, 0u);
+  for (const SweepJournal::Entry& e : loaded.entries)
+    EXPECT_GT(e.attempts, 0) << e.iy << ',' << e.ix;
+
+  ExecutionPolicy opt;
+  opt.journal_path = path;
+  const RegionMap map = sweep_region(spec, opt);
+  EXPECT_EQ(map.solve_stats().resumed, 9u);
+  EXPECT_EQ(map.solve_stats().attempted, 3u);
+  EXPECT_EQ(map.to_csv(), clean.to_csv());
   std::remove(path.c_str());
 }
 

@@ -5,6 +5,7 @@
 
 #include <cstdlib>
 
+#include "pf/analysis/table1.hpp"
 #include "pf/faults/ffm.hpp"
 #include "pf/testing/generators.hpp"
 
@@ -96,10 +97,9 @@ TEST(FuzzAlgebra, GeneratedCasesAreRunnableExperiments) {
     ASSERT_FALSE(c.u_axis.empty());
     ASSERT_TRUE(std::is_sorted(c.r_axis.begin(), c.r_axis.end()));
     ASSERT_TRUE(std::is_sorted(c.u_axis.begin(), c.u_axis.end()));
-    double lo = 0.0, hi = 0.0;
-    site_r_range(c.site, &lo, &hi);
-    ASSERT_GE(c.r_axis.front(), lo * 0.999);
-    ASSERT_LE(c.r_axis.back(), hi * 1.001);
+    const pf::Interval range = analysis::site_r_range(c.site, {});
+    ASSERT_GE(c.r_axis.front(), range.lo * 0.999);
+    ASSERT_LE(c.r_axis.back(), range.hi * 1.001);
     // The repro recipe carries the seed and a runnable command.
     const std::string repro = c.repro(seed);
     ASSERT_NE(repro.find("PF_TEST_SEED"), std::string::npos);

@@ -61,12 +61,12 @@ TEST(FuzzDifferential, GridIsBitIdenticalAcrossExecutionModes) {
     analysis::ExecutionPolicy threaded;
     threaded.threads = 3;
     analysis::ExecutionPolicy rebuild;
-    rebuild.plan.circuit_mode = analysis::CircuitMode::kRebuild;
+    rebuild.circuit_mode = analysis::CircuitMode::kRebuild;
     for (const auto* policy : {&threaded, &rebuild}) {
       const auto other = sweep_region(spec, *policy);
       ASSERT_EQ(base.grid().data(), other.grid().data())
           << c.describe() << " (threads=" << policy->threads << ", circuit="
-          << (policy->plan.circuit_mode == analysis::CircuitMode::kReuse
+          << (policy->circuit_mode == analysis::CircuitMode::kReuse
                   ? "reuse"
                   : "rebuild")
           << ")";

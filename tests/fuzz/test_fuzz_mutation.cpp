@@ -4,6 +4,9 @@
 // convict them — and the shrinker to produce a minimal repro.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "pf/analysis/robust.hpp"
 #include "pf/spice/fault_injection.hpp"
 #include "pf/testing/oracle.hpp"
@@ -21,6 +24,17 @@ FuzzCase fixed_case() {
   return random_case(rng, {});
 }
 
+/// A silently WRONG solver on one grid point's experiment key: every
+/// voltage mirrored, nothing thrown. The point is (R = 89 kOhm, U = 1.1 V)
+/// of fixed_case(), whose own class flips under the mirror (RDF0 instead of
+/// no fault). SosSession never keeps a snapshot an injected fault touched,
+/// so the corruption stays confined to that point and only the
+/// differential check of the point itself can see it.
+std::map<std::string, inj::InjectionSpec> corrupt_one_point() {
+  return {{analysis::grid_point_key(1, 0),
+           {inj::InjectedFault::kCorruptVoltage, 1 << 30, 0, 3.3}}};
+}
+
 TEST(FuzzMutation, CleanBaselinePasses) {
   const TrialResult r = run_differential_trial(fixed_case());
   EXPECT_TRUE(r.ok) << r.failure;
@@ -29,12 +43,7 @@ TEST(FuzzMutation, CleanBaselinePasses) {
 
 TEST(FuzzMutation, PlantedCorruptionIsConvictedAndShrunk) {
   const FuzzCase c = fixed_case();
-  // A silently WRONG solver on one grid point's experiment key: every
-  // voltage mirrored, classification corrupted, nothing thrown. Only the
-  // differential check can see it.
-  inj::ScopedFaultPlan plan(
-      {{analysis::grid_point_key(0, 0),
-        {inj::InjectedFault::kCorruptVoltage, 1 << 30, 0, 3.3}}});
+  inj::ScopedFaultPlan plan(corrupt_one_point());
   const TrialResult r = run_differential_trial(c);
   ASSERT_FALSE(r.ok) << "planted kCorruptVoltage survived the oracle";
   EXPECT_NE(r.failure.find("referee"), std::string::npos) << r.failure;
@@ -63,9 +72,7 @@ TEST(FuzzMutation, MinimalCasePassesOnceThePlanIsGone) {
   FuzzCase c = fixed_case();
   FuzzCase minimal;
   {
-    inj::ScopedFaultPlan plan(
-        {{analysis::grid_point_key(0, 0),
-          {inj::InjectedFault::kCorruptVoltage, 1 << 30, 0, 3.3}}});
+    inj::ScopedFaultPlan plan(corrupt_one_point());
     minimal = shrink_case(c, [](const FuzzCase& cand) {
                 return !run_differential_trial(cand).ok;
               }).minimal;

@@ -40,14 +40,9 @@ TEST(JobSpec, JsonRoundTripIsExact) {
   job.threads = 4;
   job.deadline_seconds = 10.5;
   job.throttle_ms = 2.5;
-  job.adaptive = true;
   const JobSpec back = JobSpec::from_json(job.to_json());
   EXPECT_EQ(back.to_json().dump(), job.to_json().dump());
   EXPECT_EQ(back.cache_key(), job.cache_key());
-  EXPECT_TRUE(back.adaptive);
-  // ...and the execution plan the workers see reflects the wire fields.
-  const analysis::ExecutionPolicy policy = back.to_policy();
-  EXPECT_TRUE(policy.plan.adaptive);
 }
 
 TEST(JobSpec, AdmissionRejectsOutOfBoundsRequests) {
@@ -73,8 +68,6 @@ TEST(JobSpec, AdmissionRejectsOutOfBoundsRequests) {
   // nothing to sweep and admission says so upfront.
   EXPECT_THROW(parse(R"({"defect_kind":"bridge"})"), pf::ParseError);
   EXPECT_THROW(parse("[1,2,3]"), pf::ParseError);
-  // adaptive must be an actual boolean, not a truthy string.
-  EXPECT_THROW(parse(R"({"adaptive":"yes"})"), pf::ParseError);
 }
 
 TEST(JobSpec, LegacyBackendKeyIsIgnored) {
@@ -93,6 +86,21 @@ TEST(JobSpec, LegacyBackendKeyIsIgnored) {
   }
 }
 
+TEST(JobSpec, LegacyAdaptiveKeyIsIgnored) {
+  // Adaptive tracing is retired: a stored payload's "adaptive" key, of any
+  // type, admits as the same dense job. It cannot bring inferred points
+  // back, and existing cache entries stay addressable.
+  const std::string base =
+      R"("defect_kind":"open","open_site":4,"r_points":2,"u_points":2)";
+  const JobSpec plain = JobSpec::from_json(Json::parse("{" + base + "}"));
+  for (const char* legacy : {"true", "false", R"("yes")", "1"}) {
+    const JobSpec old = JobSpec::from_json(
+        Json::parse("{" + base + R"(,"adaptive":)" + legacy + "}"));
+    EXPECT_EQ(old.cache_key(), plain.cache_key()) << legacy;
+    EXPECT_EQ(old.to_json().dump(), plain.to_json().dump()) << legacy;
+  }
+}
+
 TEST(JobSpec, CacheKeyTracksResultIdentityNotExecutionKnobs) {
   const JobSpec base = tiny_job();
   JobSpec threads = base;
@@ -101,9 +109,6 @@ TEST(JobSpec, CacheKeyTracksResultIdentityNotExecutionKnobs) {
   JobSpec throttled = base;
   throttled.throttle_ms = 5;
   EXPECT_EQ(base.cache_key(), throttled.cache_key());
-  JobSpec adaptive = base;
-  adaptive.adaptive = true;
-  EXPECT_EQ(base.cache_key(), adaptive.cache_key());
 
   JobSpec hot = base;
   hot.temperature_c = 85.0;  // changes the result: different entry

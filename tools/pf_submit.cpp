@@ -5,7 +5,7 @@
 //
 // Job flags mirror pf::service::JobSpec: --defect KIND, --site N,
 // --line N, --sos TEXT, --r-points N, --u-points N, --temperature C,
-// --threads N, --deadline S, --throttle-ms MS, --adaptive.
+// --threads N, --deadline S, --throttle-ms MS.
 //
 // Prints the result's cache key, SHA-256 and hit/miss status; --out writes
 // the CSV. --wait S absorbs busy rejections for up to S seconds, honouring
@@ -30,7 +30,7 @@ int usage(const char* argv0) {
       "          [--sos TEXT] [--r-points N] [--u-points N]\n"
       "          [--r-min OHMS --r-max OHMS] [--temperature C]\n"
       "          [--threads N] [--deadline S]\n"
-      "          [--throttle-ms MS] [--adaptive]\n"
+      "          [--throttle-ms MS]\n"
       "          [--wait S] [--out FILE] [--quiet]\n"
       "       %s --socket PATH --ping|--stats|--shutdown\n",
       argv0, argv0);
@@ -69,7 +69,6 @@ int main(int argc, char** argv) {
       job.deadline_seconds = std::atof(argv[++i]);
     else if (arg == "--throttle-ms" && has_value)
       job.throttle_ms = std::atof(argv[++i]);
-    else if (arg == "--adaptive") job.adaptive = true;
     else if (arg == "--wait" && has_value) wait_seconds = std::atof(argv[++i]);
     else if (arg == "--out" && has_value) out_path = argv[++i];
     else if (arg == "--quiet") quiet = true;
