@@ -54,8 +54,8 @@ SmartCost run_smart(OpenSite site, const char* base_sos, size_t r_points,
     cspec.base.sos = spec.sos;
     cspec.probe_u = analysis::default_u_axis(params, 5);
     cspec.max_prefix_ops = 3;
-    const auto comp = analysis::search_completing_ops_with_fallback(
-        cspec, map, finding.ffm);
+    const auto comp =
+        analysis::complete_partial_fault(cspec, map, finding.ffm);
     cost.completion_runs += comp.sos_runs;
     if (comp.possible) {
       cost.completed_ops = comp.completed.sos.num_ops();

@@ -41,7 +41,6 @@ void print_reproduction() {
   options.r_points = 9;
   options.u_points = 9;
   options.max_prefix_ops = 3;
-  options.fallback_windows = 4;
   options.probe_u_points = 5;
 
   std::printf("running the full fault analysis (this sweeps %zu opens x 8 "

@@ -30,7 +30,8 @@
 //
 // Prints the (R_def, U) region map, the partial-fault classification per
 // observed FFM, and — for each partial fault — the completing operations
-// found by the search.
+// found by Table 1's search (complete_partial_fault), so a map prints the
+// verdict its Table 1 row would show.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -165,19 +166,9 @@ int main(int argc, char** argv) {
         cspec.defect = spec.defect;
         cspec.floating_line_index = li;
         cspec.base.sos = spec.sos;
-        cspec.probe_r = analysis::choose_probe_rows(map, finding.ffm, 2);
         cspec.probe_u = pf::linspace(lines[li].min_v, lines[li].max_v, 5);
-        {
-          // Observe the base <F, R> at the band centre.
-          dram::Defect probe = spec.defect;
-          probe.resistance = cspec.probe_r.front();
-          const auto out = analysis::run_sos(
-              spec.params, probe, &lines[li],
-              (finding.band_hull.lo + finding.band_hull.hi) / 2, spec.sos);
-          cspec.base.faulty_state = out.final_state;
-          cspec.base.read_result = out.read_result;
-        }
-        const auto comp = analysis::search_completing_ops(cspec);
+        const auto comp =
+            analysis::complete_partial_fault(cspec, map, finding.ffm);
         if (comp.possible) {
           std::printf("    completed as %s  (%d candidates",
                       comp.completed.to_string().c_str(),

@@ -38,9 +38,9 @@ PF_FUZZ_ITERS="$FUZZ_ITERS" \
   ctest --test-dir "$BUILD" -L tier2-fuzz --output-on-failure
 
 # Golden A/B suites under ASan+UBSan: the word-parallel PlaneMemory's raw
-# bit-plane indexing and lane masks, circuit reuse vs per-point rebuild
-# and the completion search's snapshot trie
-# (prefix slicing of candidate SOSes) are the places where out-of-bounds
+# bit-plane indexing and lane masks, circuit reuse vs per-point rebuild,
+# and the completion search's snapshot trie (prefix slicing of candidate
+# SOSes) and fail-first probe order are the places where out-of-bounds
 # or UB could hide behind passing bit-identity checks. Build a separate
 # sanitized tree (PF_SANITIZE plumbs into -fsanitize=) and run exactly the
 # suites that drive both sides of each A/B over the same grids/populations.
@@ -53,7 +53,7 @@ if [[ "${PF_SKIP_SANITIZE:-0}" != "1" ]]; then
   cmake --build "$SAN_BUILD" -j "$JOBS" \
     --target test_dram test_analysis test_memsim test_march test_fuzz
   ctest --test-dir "$SAN_BUILD" --output-on-failure -j "$JOBS" \
-    -R 'CircuitReuse|CompletionPrefixSharing|PlaneMemory|PopulationAB'
+    -R 'CircuitReuse|CompletionPrefixSharing|CompletionFailFirst|PlaneMemory|PopulationAB'
 
   # SearchAB: the march-search optimizer mutates candidate tests in a hot
   # loop (element/op erase + crossover splices) and walks per-unit
@@ -77,7 +77,7 @@ if [[ "${PF_SKIP_SANITIZE:-0}" != "1" ]]; then
   cmake --build "$TSAN_BUILD" -j "$JOBS" \
     --target test_analysis test_service test_campaign
   ctest --test-dir "$TSAN_BUILD" --output-on-failure -j "$JOBS" \
-    -R 'ParallelSweep|SweepCancellation|CircuitReuse|ExecutionPolicy_|ParallelCompletion|ParallelTable1|CompletionPrefixSharing'
+    -R 'ParallelSweep|SweepCancellation|CircuitReuse|ExecutionPolicy_|ParallelCompletion|ParallelTable1|CompletionPrefixSharing|CompletionFailFirst'
 
   # Every service and campaign test under ThreadSanitizer: the server's
   # worker pool, admission queue and client waits, the result cache, and

@@ -8,9 +8,12 @@
 // increasing #O and evaluates each candidate electrically on probe rows
 // where the base fault was only partially observed. A candidate is accepted
 // when it reproduces the base fault's exact <F, R> behaviour at every probe
-// voltage on every probe row. When the enumeration is exhausted the fault is
-// reported as not completable ("Not possible" in Table 1) — e.g. faults
-// guarded by a floating word line, which memory operations cannot touch.
+// voltage on every probe row. Each prefix length runs its probes fail-first:
+// the probes that rejected the most candidates of the previous length go
+// first, so a rejected candidate usually costs one run. When the
+// enumeration is exhausted the fault is reported as not completable ("Not
+// possible" in Table 1) — e.g. faults guarded by a floating word line,
+// which memory operations cannot touch.
 #pragma once
 
 #include "pf/analysis/region.hpp"
@@ -27,10 +30,11 @@ struct CompletionSpec {
   int max_prefix_ops = 3;
   /// Execution of the probe experiments: exec.retry is the per-probe solver
   /// retry/backoff; exec.threads > 1 evaluates the candidates of one prefix
-  /// length in parallel, each worker running its candidate's probes in
-  /// order, and commits the lowest-index accepted candidate (the verdict —
-  /// accepted, rejected, completed FP, candidates_evaluated — is
-  /// thread-count independent; journal/record_failures are ignored here).
+  /// length in parallel, each worker running its candidate's probes in the
+  /// level's fail-first order, and commits the lowest-index accepted
+  /// candidate (the verdict — accepted, rejected, completed FP,
+  /// candidates_evaluated — is thread-count independent;
+  /// journal/record_failures are ignored here).
   /// `exec.cancel` aborts the search with pf::CancelledError.
   ExecutionPolicy exec;
 };
@@ -40,9 +44,10 @@ struct CompletionResult {
   faults::FaultPrimitive completed;  ///< base with the completing bracket
   int candidates_evaluated = 0;
   /// Electrical experiments performed. Exact and thread-count independent
-  /// for serial runs; with exec.threads > 1 it also counts the speculative
-  /// probes of candidates above the committed one that were in flight when
-  /// it was accepted.
+  /// for a "Not possible" verdict, where every candidate runs until a probe
+  /// rejects it, and for serial runs; a completion found with
+  /// exec.threads > 1 also counts the speculative probes of candidates
+  /// above the committed one that were in flight when it was accepted.
   uint64_t sos_runs = 0;
   /// Probe experiments unsolved after retries. The search degrades
   /// gracefully: an unsolvable probe rejects the candidate (a completion
@@ -59,28 +64,22 @@ struct CompletionResult {
   uint64_t prefix_restores = 0;
 };
 
-/// Probe rows for a completion search: up to `max_rows` R_def values where
-/// the base fault was observed in a proper sub-band of the U domain.
-std::vector<double> choose_probe_rows(const RegionMap& base_map,
-                                      faults::Ffm ffm, size_t max_rows = 3);
-
 /// All R_def rows where `ffm` is observed in a proper sub-band, ascending.
 std::vector<double> partial_rows(const RegionMap& base_map, faults::Ffm ffm);
 
 CompletionResult search_completing_ops(const CompletionSpec& spec);
 
-/// Completion with row-window fallback: try to complete on the topmost
-/// partial rows; when no candidate covers them (e.g. at R_def so large the
-/// cell is unreachable and no operation can establish the faulty state),
-/// retry on lower windows — but never more than `max_ratio_below_top` below
-/// the topmost partial row. The restriction keeps the search inside the
-/// regime where the line genuinely floats: far below it the "open" line is
-/// merely slow and operations partially control it, which is outside the
-/// paper's analysis (its figures cap each defect's R_def axis accordingly).
-/// The base FP's <F, R> is re-observed per window at the band centre.
-CompletionResult search_completing_ops_with_fallback(
-    const CompletionSpec& spec_template, const RegionMap& base_map,
-    faults::Ffm ffm, size_t rows_per_window = 1, size_t max_windows = 4,
-    double max_ratio_below_top = 3.17);
+/// Complete `ffm`, a partial fault of `base_map`, the way Table 1 does: the
+/// search probes only the topmost partial row. A completed fault guarantees
+/// sensitization above a threshold R_def, and at the top of the partial
+/// region the defect dominates and the line genuinely floats; lower rows
+/// are marginal (the paper's own completed faults only hold above a
+/// threshold R_def, Figure 4(b)). The base FP's <F, R> is re-observed there
+/// once, at the centre of the observation band; when that run is unsolved
+/// or no longer shows `ffm`, the verdict is "Not possible" with no search.
+/// `spec_template.probe_r` is ignored.
+CompletionResult complete_partial_fault(const CompletionSpec& spec_template,
+                                        const RegionMap& base_map,
+                                        faults::Ffm ffm);
 
 }  // namespace pf::analysis

@@ -37,7 +37,6 @@ struct Table1Options {
   size_t u_points = 9;
   int max_prefix_ops = 3;
   size_t probe_u_points = 5;
-  size_t fallback_windows = 4;
 
   /// Analyzed R_def ranges, mirroring the paper's per-defect figure axes
   /// and the capacitance each open isolates: cell-internal opens are

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <limits>
 #include <memory>
+#include <numeric>
 
 #include "pf/util/log.hpp"
 
@@ -26,25 +27,6 @@ std::vector<double> partial_rows(const RegionMap& base_map, faults::Ffm ffm) {
       rows.push_back(base_map.spec().r_axis[iy]);
   }
   return rows;
-}
-
-std::vector<double> choose_probe_rows(const RegionMap& base_map,
-                                      faults::Ffm ffm, size_t max_rows) {
-  std::vector<double> partial_rows = analysis::partial_rows(base_map, ffm);
-  if (partial_rows.size() <= max_rows) return partial_rows;
-  // Probe from the TOP of the partial region: at large R_def the defect
-  // dominates and the floating line genuinely floats. Rows near the lower
-  // boundary are marginal (and the paper's own completed faults only hold
-  // above a threshold R_def — Figure 4(b)).
-  const size_t n = partial_rows.size();
-  std::vector<size_t> indices = {n - 1};
-  if (max_rows >= 2) indices.push_back((3 * (n - 1)) / 4);
-  if (max_rows >= 3) indices.push_back((n - 1) / 2);
-  std::sort(indices.begin(), indices.end());
-  indices.erase(std::unique(indices.begin(), indices.end()), indices.end());
-  std::vector<double> picked;
-  for (size_t idx : indices) picked.push_back(partial_rows[idx]);
-  return picked;
 }
 
 namespace {
@@ -135,24 +117,28 @@ CompletionResult search_completing_ops(const CompletionSpec& spec) {
   };
 
   // The candidate is accepted iff it reproduces the base <F, R> at EVERY
-  // probe point. Its probes run in order on one worker and stop at the
-  // first mismatch, or as soon as a lower-index candidate was accepted.
+  // probe point. Its probes run in the level's `order` on one worker and
+  // stop at the first mismatch, or as soon as a lower-index candidate was
+  // accepted.
   const size_t n_u = spec.probe_u.size();
   const size_t n_probes = spec.probe_r.size() * n_u;
   // Per prefix length: the candidates, the lowest accepted index so far,
-  // and each candidate's probe tally.
+  // each candidate's probe tally and the probe order.
   constexpr size_t kNone = std::numeric_limits<size_t>::max();
   std::vector<Sos> soses;
   std::atomic<size_t> accepted{kNone};
   struct Tally {
     uint64_t runs = 0;
     uint64_t failures = 0;
+    size_t rejected_by = kNone;  ///< the probe that rejected the candidate
   };
   std::vector<Tally> tallies;
+  std::vector<size_t> order(n_probes);
+  std::iota(order.begin(), order.end(), size_t{0});
   const auto evaluate = [&](size_t index, int worker) {
     const Sos& sos = soses[index];
     Tally& tally = tallies[index];
-    for (size_t k = 0; k < n_probes; ++k) {
+    for (const size_t k : order) {
       if (accepted.load(std::memory_order_relaxed) < index) return false;
       const double r = spec.probe_r[k / n_u];
       const double u = spec.probe_u[k % n_u];
@@ -173,17 +159,16 @@ CompletionResult search_completing_ops(const CompletionSpec& spec) {
                                is_state_fault)
               : run_sos_robust(probe_params, defect, &line, u, sos,
                                policy.retry, ctx, is_state_fault);
-      if (!ro.solved) {
-        // An unsolvable probe cannot demonstrate the completion; reject
-        // the candidate and keep searching instead of aborting the whole
-        // catalogue run.
-        ++tally.failures;
+      // An unsolvable probe cannot demonstrate the completion; it rejects
+      // the candidate instead of aborting the whole catalogue run.
+      if (!ro.solved) ++tally.failures;
+      const SosOutcome& out = ro.outcome;
+      if (!ro.solved || !out.faulty ||
+          out.final_state != spec.base.faulty_state ||
+          out.read_result != spec.base.read_result) {
+        tally.rejected_by = k;
         return false;
       }
-      const SosOutcome& out = ro.outcome;
-      if (!out.faulty || out.final_state != spec.base.faulty_state ||
-          out.read_result != spec.base.read_result)
-        return false;
     }
     return true;
   };
@@ -220,6 +205,16 @@ CompletionResult search_completing_ops(const CompletionSpec& spec) {
       result.completed.read_result = spec.base.read_result;
       break;
     }
+
+    // Fail-first: the next length runs first the probes that rejected the
+    // most candidates of this one (ties keep their order). Nothing was
+    // accepted, so every candidate ran until a probe rejected it: the
+    // counts, and the order, are the same at any thread count.
+    std::vector<size_t> rejections(n_probes, 0);
+    for (const Tally& tally : tallies) ++rejections[tally.rejected_by];
+    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      return rejections[a] > rejections[b];
+    });
   }
   for (const std::unique_ptr<SosSession>& session : sessions) {
     if (session == nullptr) continue;
@@ -236,79 +231,49 @@ CompletionResult search_completing_ops(const CompletionSpec& spec) {
   return result;
 }
 
-CompletionResult search_completing_ops_with_fallback(
-    const CompletionSpec& spec_template, const RegionMap& base_map,
-    faults::Ffm ffm, size_t rows_per_window, size_t max_windows,
-    double max_ratio_below_top) {
-  CompletionResult total;
-  std::vector<double> rows = partial_rows(base_map, ffm);
-  if (rows.empty()) return total;
-  // Stay within the genuinely-floating regime near the top partial row.
-  const double r_floor = rows.back() / max_ratio_below_top;
-  rows.erase(std::remove_if(rows.begin(), rows.end(),
-                            [&](double r) { return r < r_floor; }),
-             rows.end());
-  const auto lines =
-      dram::floating_lines_for(spec_template.defect, spec_template.params);
-  PF_CHECK(spec_template.floating_line_index < lines.size());
-  const dram::FloatingLine& line = lines[spec_template.floating_line_index];
+CompletionResult complete_partial_fault(const CompletionSpec& spec_template,
+                                        const RegionMap& base_map,
+                                        faults::Ffm ffm) {
+  const std::vector<double> rows = partial_rows(base_map, ffm);
+  if (rows.empty()) return {};
+  CompletionSpec spec = spec_template;
+  spec.probe_r = {rows.back()};
+  const auto lines = dram::floating_lines_for(spec.defect, spec.params);
+  PF_CHECK(spec.floating_line_index < lines.size());
+  const dram::FloatingLine& line = lines[spec.floating_line_index];
 
-  size_t window = 0;
-  for (size_t top = rows.size(); top > 0 && window < max_windows; ++window) {
-    CompletionSpec spec = spec_template;
-    spec.probe_r.clear();
-    for (size_t k = 0; k < rows_per_window && top > 0; ++k)
-      spec.probe_r.push_back(rows[--top]);
+  // Re-observe the base <F, R> at the top partial row, at the centre of
+  // the observation band there.
+  dram::Defect probe = spec.defect;
+  probe.resistance = rows.back();
+  const auto& r_axis = base_map.spec().r_axis;
+  const size_t iy = static_cast<size_t>(
+      std::find(r_axis.begin(), r_axis.end(), probe.resistance) -
+      r_axis.begin());
+  const pf::Interval hull = base_map.u_band(ffm, iy).hull();
+  const double u_mid = (hull.lo + hull.hi) / 2;
+  ExperimentContext ctx;
+  ctx.key = completion_key(probe.resistance, u_mid);
+  ctx.defect = dram::defect_name(spec.defect);
+  ctx.line = line.label;
+  ctx.r_def = probe.resistance;
+  ctx.u = u_mid;
+  ctx.sos = spec.base.sos.to_string();
+  dram::DramParams probe_params = spec.params;
+  probe_params.sim.cancel = spec.exec.cancel;
+  const RobustOutcome ro = run_sos_robust(probe_params, probe, &line, u_mid,
+                                          spec.base.sos, spec.exec.retry, ctx);
+  const SosOutcome& out = ro.outcome;
 
-    // Re-observe the base <F, R> at this window's top row, at the centre of
-    // the observation band there.
-    {
-      dram::Defect probe = spec.defect;
-      probe.resistance = spec.probe_r.front();
-      size_t iy = 0;
-      for (size_t i = 0; i < base_map.spec().r_axis.size(); ++i)
-        if (base_map.spec().r_axis[i] == probe.resistance) iy = i;
-      const pf::IntervalSet band = base_map.u_band(ffm, iy);
-      const pf::Interval hull = band.hull();
-      const double u_mid = band.empty()
-                               ? (line.min_v + line.max_v) / 2
-                               : (hull.lo + hull.hi) / 2;
-      ExperimentContext ctx;
-      ctx.key = completion_key(probe.resistance, u_mid);
-      ctx.defect = dram::defect_name(spec.defect);
-      ctx.line = line.label;
-      ctx.r_def = probe.resistance;
-      ctx.u = u_mid;
-      ctx.sos = spec.base.sos.to_string();
-      dram::DramParams probe_params = spec.params;
-      probe_params.sim.cancel = spec.exec.cancel;
-      const RobustOutcome ro = run_sos_robust(probe_params, probe, &line,
-                                              u_mid, spec.base.sos,
-                                              spec.exec.retry, ctx);
-      ++total.sos_runs;
-      if (!ro.solved) {
-        ++total.solver_failures;
-        continue;  // degrade to the next window
-      }
-      const SosOutcome& out = ro.outcome;
-      if (!out.faulty || faults::classify(out.observed) != ffm) continue;
-      spec.base.faulty_state = out.final_state;
-      spec.base.read_result = out.read_result;
-    }
-
-    const CompletionResult attempt = search_completing_ops(spec);
-    total.candidates_evaluated += attempt.candidates_evaluated;
-    total.sos_runs += attempt.sos_runs;
-    total.solver_failures += attempt.solver_failures;
-    total.steps_solved += attempt.steps_solved;
-    total.prefix_restores += attempt.prefix_restores;
-    if (attempt.possible) {
-      total.possible = true;
-      total.completed = attempt.completed;
-      return total;
-    }
+  CompletionResult result;
+  if (ro.solved && out.faulty && faults::classify(out.observed) == ffm) {
+    spec.base.faulty_state = out.final_state;
+    spec.base.read_result = out.read_result;
+    result = search_completing_ops(spec);
   }
-  return total;
+  ++result.sos_runs;
+  if (!ro.solved) ++result.solver_failures;
+  return result;
 }
 
 }  // namespace pf::analysis

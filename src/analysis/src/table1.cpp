@@ -74,9 +74,8 @@ std::vector<Table1Row> analyze_table1_site(const dram::DramParams& params,
         cspec.max_prefix_ops = options.max_prefix_ops;
         cspec.exec = options.exec;
         cspec.exec.journal_path.clear();  // probes are not journaled
-        const CompletionResult comp = search_completing_ops_with_fallback(
-            cspec, map, finding.ffm, /*rows_per_window=*/1,
-            options.fallback_windows);
+        const CompletionResult comp =
+            complete_partial_fault(cspec, map, finding.ffm);
         row.completable = comp.possible;
         if (comp.possible) row.completed = comp.completed;
         rows.push_back(std::move(row));

@@ -7,9 +7,9 @@
 //
 // Both producers are golden-compatible: run through a campaign, the
 // reassembled output is byte-identical to the pre-campaign implementation
-// (generate_table1 / search_completing_ops_with_fallback) — sweeps restored
-// from CSV reconstruct the exact RegionMap, analysis runs in a custom job
-// with the same code path, and the final ordering is reproduced.
+// (generate_table1 / complete_partial_fault) — sweeps restored from CSV
+// reconstruct the exact RegionMap, analysis runs in a custom job with the
+// same code path, and the final ordering is reproduced.
 //
 // The producers cover the wire JobSpec's parameter space: the reference
 // DramParams (at the JobSpec temperature knob). Drivers needing bespoke
@@ -53,7 +53,6 @@ struct CompletionCampaignOptions {
   faults::Ffm ffm = faults::Ffm::kUnknown;  ///< the partial FFM to complete
   size_t probe_u_points = 5;
   int max_prefix_ops = 3;
-  size_t fallback_windows = 4;
   /// Exec for the completion probes (the base-map sweep runs under
   /// CampaignOptions::exec).
   analysis::ExecutionPolicy exec;
@@ -61,13 +60,13 @@ struct CompletionCampaignOptions {
 
 /// Completion search as a two-job campaign: "base-map" (the sweep whose
 /// region map seeds the search) and "completion" (a custom job running
-/// search_completing_ops_with_fallback on the reconstructed map).
+/// complete_partial_fault on the reconstructed map).
 CampaignSpec completion_campaign(const service::JobSpec& sweep,
                                  const CompletionCampaignOptions& options);
 
 /// Extract the CompletionResult from a finished completion_campaign run.
-/// Identical to calling search_completing_ops_with_fallback on the same
-/// map. Throws pf::Error when the completion job did not reach kJobDone.
+/// Identical to calling complete_partial_fault on the same map. Throws
+/// pf::Error when the completion job did not reach kJobDone.
 analysis::CompletionResult completion_from_result(const CampaignResult& result);
 
 struct CoverageCampaignOptions {

@@ -193,9 +193,7 @@ CampaignSpec completion_campaign(const service::JobSpec& sweep,
     cspec.exec = opts.exec;
     cspec.exec.journal_path.clear();
     const analysis::CompletionResult comp =
-        analysis::search_completing_ops_with_fallback(
-            cspec, map, opts.ffm, /*rows_per_window=*/1,
-            opts.fallback_windows);
+        analysis::complete_partial_fault(cspec, map, opts.ffm);
 
     JsonObject obj;
     obj["possible"] = Json(comp.possible);

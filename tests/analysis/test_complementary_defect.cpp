@@ -65,7 +65,7 @@ TEST(ComplementaryDefect, CompletingOperationIsTheDataComplement) {
   spec.probe_u = pf::linspace(0.0, 3.3, 5);
   spec.max_prefix_ops = 1;
   const CompletionResult result =
-      search_completing_ops_with_fallback(spec, map, Ffm::kRDF0);
+      complete_partial_fault(spec, map, Ffm::kRDF0);
   ASSERT_TRUE(result.possible);
   EXPECT_EQ(result.completed.to_string(), "<0v [w1BL] r0v/1/1>");
   EXPECT_EQ(result.completed.to_string(),

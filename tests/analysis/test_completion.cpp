@@ -2,6 +2,8 @@
 // and completed faults.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "pf/analysis/completion.hpp"
 #include "pf/analysis/partial.hpp"
 
@@ -34,7 +36,7 @@ TEST(Completion, FindsBitLineCompleterForPartialRdf1) {
   spec.params = params();
   spec.defect = sweep.defect;
   spec.base = faults::FaultPrimitive::parse("<1r1/0/0>");
-  spec.probe_r = choose_probe_rows(map, Ffm::kRDF1, 2);
+  spec.probe_r = partial_rows(map, Ffm::kRDF1);
   ASSERT_FALSE(spec.probe_r.empty());
   spec.probe_u = pf::linspace(0.0, 3.3, 5);
   spec.max_prefix_ops = 2;
@@ -68,7 +70,7 @@ TEST(Completion, CompletedFpForBitLineOpenIsThePapersRow) {
   spec.params = params();
   spec.defect = sweep.defect;
   spec.base = faults::FaultPrimitive::parse("<1r1/0/0>");
-  spec.probe_r = choose_probe_rows(map, Ffm::kRDF1, 2);
+  spec.probe_r = partial_rows(map, Ffm::kRDF1);
   spec.probe_u = pf::linspace(0.0, 3.3, 5);
   spec.max_prefix_ops = 1;
   const CompletionResult result = search_completing_ops(spec);
@@ -99,11 +101,12 @@ TEST(Completion, ProbeRowSelectionSpreadsRows) {
   sweep.r_axis = pf::logspace(100e3, 10e6, 6);
   sweep.u_axis = pf::linspace(0.0, 3.3, 5);
   const RegionMap map = sweep_region(sweep);
-  const auto rows = choose_probe_rows(map, Ffm::kRDF1, 3);
+  const auto rows = partial_rows(map, Ffm::kRDF1);
   ASSERT_GE(rows.size(), 2u);
+  EXPECT_TRUE(std::is_sorted(rows.begin(), rows.end()));
   EXPECT_LT(rows.front(), rows.back());
   // No probe rows for an FFM that never appears.
-  EXPECT_TRUE(choose_probe_rows(map, Ffm::kWDF0, 3).empty());
+  EXPECT_TRUE(partial_rows(map, Ffm::kWDF0).empty());
 }
 
 TEST(Completion, RejectsEmptyProbes) {

@@ -153,12 +153,14 @@ TEST(CompletionPrefixSharing, PrefixRestoresOnlyBeyondDepthOne) {
 
 TEST(CompletionPrefixSharing, PoisonedSnapshotIsNeverStored) {
   // <0r0/1/1> at depth 2 has three depth-1 candidates, and each probes
-  // U = 0 first. Failing the first FOUR attempts at that probe point
-  // therefore also corrupts the first depth-2 candidate, [w0v w0v], which
-  // is the run that solves (and would store) the [w0v] prefix. The next
-  // candidate, [w0v w0BL], runs clean; had it resumed from the corrupted
-  // prefix it would be accepted, where the oracle's fresh columns reject
-  // it and go on to <[w1 w0] r0/1/1>.
+  // U = 0 first (fail-first keeps it first at depth 2 too, since no other
+  // probe rejects more depth-1 candidates). Failing the first FOUR
+  // attempts at that probe point therefore also corrupts the first
+  // depth-2 candidate, [w0v w0v], which is the run that solves (and
+  // would store) the [w0v] prefix. The next candidate, [w0v w0BL], runs
+  // clean; had it resumed from the corrupted prefix it would be accepted,
+  // where the oracle's fresh columns reject it and go on to
+  // <[w1 w0] r0/1/1>.
   const DepthCase& c = kCases[0];
   const std::string key = completion_key(c.r, 0.0);
   InjectionSpec corrupt;
@@ -224,6 +226,56 @@ TEST(CompletionPrefixSharing, PoisonedRootIsNeverStored) {
     EXPECT_EQ(got.outcome.read_result, fresh.read_result);
     EXPECT_EQ(got.outcome.faulty, fresh.faulty);
   }
+}
+
+/// Fail-first probe order. Open 9's TFup (`0w1`) at the catalogue's top
+/// partial row, which no prefix completes, runs all three levels: each
+/// level after the first orders its probes by the rejections of the one
+/// before. Open 1's WDF0 completes at depth 3 (kCases[1]).
+const DepthCase kNotPossible = {OpenSite::kWordLine, "<0w1/0/->", 1e9};
+
+TEST(CompletionFailFirst, VerdictsMatchOracleAtEveryThreadCount) {
+  for (const bool completes : {false, true}) {
+    const DepthCase& c = completes ? kCases[1] : kNotPossible;
+    SCOPED_TRACE(c.base);
+    const CompletionResult oracle =
+        search_completing_ops(spec_for(c, 3, CircuitMode::kRebuild, 1));
+    EXPECT_EQ(oracle.possible, completes);
+    for (int threads : {1, 2, 4}) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      const CompletionResult got =
+          search_completing_ops(spec_for(c, 3, CircuitMode::kReuse, threads));
+      ASSERT_EQ(got.possible, oracle.possible);
+      EXPECT_EQ(got.completed.to_string(), oracle.completed.to_string());
+      EXPECT_EQ(got.candidates_evaluated, oracle.candidates_evaluated);
+    }
+  }
+}
+
+TEST(CompletionFailFirst, NotPossibleRunsAreThreadCountIndependent) {
+  // Every candidate of a "Not possible" search runs until it is rejected,
+  // and each level's order is fixed before it dispatches, so the run count
+  // is exact at any thread count.
+  const CompletionResult oracle = search_completing_ops(
+      spec_for(kNotPossible, 3, CircuitMode::kRebuild, 1));
+  ASSERT_FALSE(oracle.possible);
+  for (int threads : {1, 2, 4}) {
+    const CompletionResult got = search_completing_ops(
+        spec_for(kNotPossible, 3, CircuitMode::kReuse, threads));
+    EXPECT_EQ(got.sos_runs, oracle.sos_runs) << "threads " << threads;
+  }
+}
+
+TEST(CompletionFailFirst, RejectedCandidatesCostAboutOneRun) {
+  // In (R, U) order these candidates ran about 3 probes before the one
+  // that rejects them; fail-first runs that probe first.
+  const CompletionResult got = search_completing_ops(
+      spec_for(kNotPossible, 3, CircuitMode::kReuse, 1));
+  ASSERT_FALSE(got.possible);
+  EXPECT_EQ(got.solver_failures, 0u);
+  EXPECT_LE(4 * got.sos_runs, 5 * uint64_t(got.candidates_evaluated))
+      << got.sos_runs << " runs for " << got.candidates_evaluated
+      << " candidates";
 }
 
 TEST(CompletionPrefixSharing, Table1IdenticalAcrossThreadCounts) {

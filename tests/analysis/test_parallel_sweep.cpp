@@ -265,7 +265,6 @@ TEST(ParallelTable1, RowsIdenticalAcrossThreadCounts) {
   options.r_points = 5;
   options.u_points = 5;
   options.max_prefix_ops = 1;
-  options.fallback_windows = 2;
   options.probe_u_points = 4;
 
   const std::string serial =

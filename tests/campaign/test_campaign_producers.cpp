@@ -25,7 +25,6 @@ Table1Options coarse(std::vector<OpenSite> sites) {
   opt.r_points = 5;
   opt.u_points = 5;
   opt.max_prefix_ops = 1;
-  opt.fallback_windows = 2;
   opt.probe_u_points = 4;
   return opt;
 }
@@ -117,7 +116,6 @@ TEST(CampaignProducers, CompletionCampaignMatchesDirectSearch) {
   options.ffm = Ffm::kRDF1;
   options.probe_u_points = 4;
   options.max_prefix_ops = 1;
-  options.fallback_windows = 2;
 
   // Direct: sweep + search, the pre-campaign wiring.
   const analysis::SweepSpec sspec = sweep.to_sweep_spec();
@@ -132,8 +130,7 @@ TEST(CampaignProducers, CompletionCampaignMatchesDirectSearch) {
                                options.probe_u_points);
   cspec.max_prefix_ops = options.max_prefix_ops;
   const analysis::CompletionResult direct =
-      analysis::search_completing_ops_with_fallback(
-          cspec, map, options.ffm, 1, options.fallback_windows);
+      analysis::complete_partial_fault(cspec, map, options.ffm);
 
   const CampaignSpec spec = completion_campaign(sweep, options);
   ASSERT_EQ(spec.jobs.size(), 2u);
@@ -146,6 +143,40 @@ TEST(CampaignProducers, CompletionCampaignMatchesDirectSearch) {
   EXPECT_EQ(direct.completed.to_string(), via.completed.to_string());
   EXPECT_EQ(direct.candidates_evaluated, via.candidates_evaluated);
   EXPECT_EQ(direct.sos_runs, via.sos_runs);
+}
+
+TEST(CampaignProducers, CompletionCampaignResumesWithItsRecordedRuns) {
+  service::JobSpec sweep;
+  sweep.defect_kind = "open";
+  sweep.open_site = 4;
+  sweep.sos_text = "1r1";
+  sweep.r_points = 5;
+  sweep.u_points = 5;
+  CompletionCampaignOptions options;
+  options.ffm = Ffm::kRDF1;
+  options.probe_u_points = 4;
+  options.max_prefix_ops = 1;
+  const CampaignSpec spec = completion_campaign(sweep, options);
+  // Campaign journals written before the completion search dropped its
+  // fallback windows carry this fingerprint, so they still resume.
+  EXPECT_EQ(spec.fingerprint(), 0x995111ffbc2fc7b9ULL);
+
+  const std::string dir = ::testing::TempDir() + "producers_completion";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  CampaignOptions campaign;
+  campaign.store_root = dir + "/store";
+  campaign.journal_path = dir + "/journal.csv";
+  const CampaignResult cold = run_campaign(spec, campaign);
+  ASSERT_TRUE(cold.all_done());
+  const CampaignResult resumed = run_campaign(spec, campaign);
+  ASSERT_TRUE(resumed.all_done());
+  EXPECT_EQ(resumed.stats.resumed, 2u);  // neither job re-runs
+  const analysis::CompletionResult recorded = completion_from_result(cold);
+  const analysis::CompletionResult restored = completion_from_result(resumed);
+  EXPECT_EQ(restored.completed.to_string(), recorded.completed.to_string());
+  EXPECT_EQ(restored.candidates_evaluated, recorded.candidates_evaluated);
+  EXPECT_EQ(restored.sos_runs, recorded.sos_runs);
 }
 
 TEST(CampaignProducers, SearchCampaignMatchesDirectSearch) {
