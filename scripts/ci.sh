@@ -39,9 +39,11 @@ PF_FUZZ_ITERS="$FUZZ_ITERS" \
 
 # Golden A/B suites under ASan+UBSan: the word-parallel PlaneMemory's raw
 # bit-plane indexing and lane masks, circuit reuse vs per-point rebuild,
-# and the completion search's snapshot trie (prefix slicing of candidate
-# SOSes) and fail-first probe order are the places where out-of-bounds
-# or UB could hide behind passing bit-identity checks. Build a separate
+# the completion search's snapshot trie (prefix slicing of candidate
+# SOSes) and fail-first probe order, and the shared-phase tree of the
+# multi-SOS sweep (per-SOS step programs, branch snapshots, exception
+# pointers per SOS) are the places where out-of-bounds or UB could hide
+# behind passing bit-identity checks. Build a separate
 # sanitized tree (PF_SANITIZE plumbs into -fsanitize=) and run exactly the
 # suites that drive both sides of each A/B over the same grids/populations.
 # PF_SKIP_SANITIZE=1 opts out of this and the TSan stage (e.g. toolchains
@@ -53,7 +55,7 @@ if [[ "${PF_SKIP_SANITIZE:-0}" != "1" ]]; then
   cmake --build "$SAN_BUILD" -j "$JOBS" \
     --target test_dram test_analysis test_memsim test_march test_fuzz
   ctest --test-dir "$SAN_BUILD" --output-on-failure -j "$JOBS" \
-    -R 'CircuitReuse|CompletionPrefixSharing|CompletionFailFirst|PlaneMemory|PopulationAB'
+    -R 'CircuitReuse|CompletionPrefixSharing|CompletionFailFirst|SharedPhases|PlaneMemory|PopulationAB'
 
   # SearchAB: the march-search optimizer mutates candidate tests in a hot
   # loop (element/op erase + crossover splices) and walks per-unit
@@ -67,7 +69,8 @@ if [[ "${PF_SKIP_SANITIZE:-0}" != "1" ]]; then
 
   # Grid dispatch under ThreadSanitizer: ParallelGridRunner's atomic cursor,
   # per-index outcome slots, serialized journal appends and progress
-  # callback, cooperative cancellation, the point dispatch of sweep_region,
+  # callback, cooperative cancellation, the point dispatch of sweep_region
+  # (one SOS, and several SOSes per point appending to one journal each),
   # and the completion search's per-candidate dispatch (atomic
   # lowest-accepted index, per-worker snapshot tries), all run with real
   # worker threads.
@@ -77,7 +80,7 @@ if [[ "${PF_SKIP_SANITIZE:-0}" != "1" ]]; then
   cmake --build "$TSAN_BUILD" -j "$JOBS" \
     --target test_analysis test_service test_campaign
   ctest --test-dir "$TSAN_BUILD" --output-on-failure -j "$JOBS" \
-    -R 'ParallelSweep|SweepCancellation|CircuitReuse|ExecutionPolicy_|ParallelCompletion|ParallelTable1|CompletionPrefixSharing|CompletionFailFirst'
+    -R 'ParallelSweep|SweepCancellation|CircuitReuse|ExecutionPolicy_|ParallelCompletion|ParallelTable1|CompletionPrefixSharing|CompletionFailFirst|SharedPhases'
 
   # Every service and campaign test under ThreadSanitizer: the server's
   # worker pool, admission queue and client waits, the result cache, and

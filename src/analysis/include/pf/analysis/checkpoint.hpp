@@ -23,7 +23,8 @@
 //   * every data row carries the CRC-32 of its payload (the text before
 //     ",crc"); a bit flip, a torn flush or a truncated tail fails the check
 //     and the row is DROPPED (and counted), never trusted and never fatal —
-//     that point simply re-runs;
+//     that point simply re-runs; appends after a torn tail start on a new
+//     line, so the re-run's row is not fused with the torn one;
 //   * the END trailer is written by finalize() when a sweep runs to
 //     completion; a journal whose last line is not a valid trailer is a
 //     crashed/interrupted tail, which load() reports via clean_end so

@@ -72,8 +72,9 @@ struct ExecutionPolicy {
 
   /// Non-empty: append every completed point to this CSV journal (see
   /// pf/analysis/checkpoint.hpp) and — when `resume` — skip points an
-  /// earlier interrupted run already solved. Multi-sweep drivers
-  /// (generate_table1) use it as a path *prefix*, one journal per sweep.
+  /// earlier interrupted run already solved. generate_table1 uses it as a
+  /// path *prefix*, one journal per (site, line, SOS); the multi-SOS
+  /// sweep_region takes one path per SOS instead and needs it empty.
   std::string journal_path;
   bool resume = true;
 

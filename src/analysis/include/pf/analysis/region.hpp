@@ -110,6 +110,34 @@ class RegionMap {
 RegionMap sweep_region(const SweepSpec& spec,
                        const ExecutionPolicy& policy = {});
 
+/// The multi-SOS form of sweep_region, and the one implementation of both:
+/// one sweep per element of `soses` over grid_spec's grid (grid_spec.sos is
+/// ignored; map i's spec carries soses[i]), from ONE dispatch with one
+/// runner index per grid point. A worker runs a point's SOSes as one batch
+/// (run_sos_robust over the SOS list: under kReuse, SosSession::run_all
+/// solves the phases they share once), so the maps cost less than
+/// separate sweeps while each equals its separate sweep_region map bit for
+/// bit. The one-SOS sweep_region above is this call with one element.
+///
+/// Per-SOS semantics:
+///   * journals — journal_paths is empty (no journals) or holds one path
+///     per SOS (an empty entry: that SOS is not journaled), each a v2
+///     journal of its own single-SOS spec; policy.journal_path must be
+///     empty. A point journaled for some SOSes runs only the others;
+///   * retries — attempt 1 of a point's pending SOSes is one batch under
+///     one declaration of the point's injection key, and an SOS that fails
+///     it retries alone (see run_sos_robust). With no fault plan armed,
+///     each map's SweepStats (attempted, solved, failed, retries,
+///     failure_log order) equal those of its separate sweep;
+///   * failures — with policy.record_failures off, the failure with the
+///     lowest (grid index, SOS index) rethrows;
+///   * progress — policy.progress counts grid points, not (point, SOS)
+///     pairs.
+std::vector<RegionMap> sweep_region(
+    const SweepSpec& grid_spec, const std::vector<faults::Sos>& soses,
+    const ExecutionPolicy& policy,
+    const std::vector<std::string>& journal_paths = {});
+
 /// Inverse of RegionMap::to_csv for a KNOWN spec: parses the header plus
 /// |r_axis| * |u_axis| data rows (row-major) and takes the ffm column
 /// ("-" = no fault, "FAIL" = kSolveFailed). The r/u columns are redundant

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "pf/analysis/sos_runner.hpp"
 
@@ -98,6 +99,27 @@ RobustOutcome run_sos_robust(SosSession& session,
                              const RetryPolicy& policy,
                              const ExperimentContext& ctx,
                              bool idle_before_observe = false);
+
+/// The same retry loop for several SOSes at one (defect, line, U) point —
+/// the per-point call of the multi-SOS sweep; the single-SOS overloads
+/// above are this call with one SOS. Attempt 1 runs every SOS as one batch
+/// (SosSession::run_all: shared phases are solved once) under ONE
+/// declaration of ctx.key; an SOS whose attempt 1 failed then retries
+/// alone, attempt k under its own declaration, exactly like the
+/// single-SOS loop. Without an armed fault plan result i therefore equals
+/// the single-SOS call for soses[i]. Each result's context names its own
+/// SOS (ctx.sos is replaced). The rebuild overload shares nothing: every
+/// SOS of every attempt runs on a fresh column.
+std::vector<RobustOutcome> run_sos_robust(
+    const dram::DramParams& params, const dram::Defect& defect,
+    const dram::FloatingLine* line, double u,
+    const std::vector<faults::Sos>& soses, const RetryPolicy& policy,
+    const ExperimentContext& ctx, bool idle_before_observe = false);
+std::vector<RobustOutcome> run_sos_robust(
+    SosSession& session, const spice::SimOptions& base,
+    const dram::Defect& defect, const dram::FloatingLine* line, double u,
+    const std::vector<faults::Sos>& soses, const RetryPolicy& policy,
+    const ExperimentContext& ctx, bool idle_before_observe = false);
 
 /// Injection-context key used by sweep_region for the grid point (ix, iy).
 std::string grid_point_key(size_t ix, size_t iy);

@@ -9,23 +9,26 @@
 //   4. observe the victim's final state F and the final read result R and
 //      classify the deviation as a fault primitive / FFM.
 //
-// There is exactly ONE implementation of that recipe — run_sos_on — and two
-// ways to hand it a column:
+// Two implementations of that recipe share one classification:
 //
 //   * run_sos builds a fresh DramColumn per call (netlist + compiled
-//     template + power-up). Simple, stateless, and the reference semantics
-//     every reuse path must reproduce bit for bit.
+//     template + power-up) and runs whole operations on it, one SOS at a
+//     time. Simple, stateless, and the reference semantics every reuse
+//     path must reproduce bit for bit.
 //   * SosSession keeps a per-worker column alive across experiments and
 //     reconfigures it per point through the compile-once pipeline: restamp
 //     the defect resistance via its ParamHandle, swap engine options in
-//     place, reset() to the pristine post-power-up state. Because reset()
-//     is defined as bit-identical to a fresh construction (see
-//     pf/dram/column.hpp) and its snapshot trie restores only states the
-//     same trajectory would reach, a session run and a run_sos call with
-//     the same (R_def, options, U, SOS) return identical SosOutcomes.
+//     place, reset() to the pristine post-power-up state. It runs the
+//     operations phase by phase, so several SOSes at one point share the
+//     phases they have in common. Because reset() is defined as
+//     bit-identical to a fresh construction (see pf/dram/column.hpp) and
+//     every snapshot it restores is a state the same trajectory would
+//     reach, a session run and a run_sos call with the same (R_def,
+//     options, U, SOS) return identical SosOutcomes.
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <optional>
 #include <string>
 #include <vector>
@@ -66,33 +69,27 @@ SosOutcome run_sos(const dram::DramParams& params, const dram::Defect& defect,
                    const dram::FloatingLine* line, double u,
                    const faults::Sos& sos, bool idle_before_observe = false);
 
-/// The implementation behind run_sos (SosSession::run shares its
-/// initializing writes, operation loop and classification): executes the
-/// SOS on `column`, which must be in the pristine post-power-up state
-/// (fresh construction or reset()).
-SosOutcome run_sos_on(dram::DramColumn& column, const dram::FloatingLine* line,
-                      double u, const faults::Sos& sos,
-                      bool idle_before_observe = false);
-
 /// A reusable experiment context for one worker of a sweep or completion
 /// search: one compiled column whose topology is fixed at construction and
 /// whose swept values (defect resistance, engine options, floating voltage)
 /// are restamped per run. Not thread-safe — give each worker its own
 /// session via clone().
 ///
-/// Runs share solved work through ONE snapshot trie. Every experiment is a
-/// deterministic trajectory — power-up, initializing writes, injection of
-/// U, the SOS's operations — so two experiments with the same configuration
-/// (R_def, numerics) pass through bit-identical states for as long as their
-/// inputs agree:
+/// Runs share solved work two ways. Every experiment is a deterministic
+/// trajectory — power-up, initializing writes, injection of U, the SOS's
+/// operations — so two experiments with the same configuration (R_def,
+/// numerics) pass through bit-identical states for as long as their inputs
+/// agree.
+///
+/// Across calls, through ONE persistent snapshot trie:
 ///
 ///   root    (init states)                         post-initialization
 ///   node    (init states, line, U bitwise,        after the k-th leading
 ///            leading completing writes 1..k)      completing write
 ///
-/// A run restores its deepest stored node and solves only the rest; the
-/// root alone is the post-initialization cache every sweep row hits (one
-/// row varies only U). The completion search is what walks deeper: its
+/// An SOS resumes from its deepest stored node and solves only the rest;
+/// the root alone is the post-initialization cache every sweep row hits
+/// (one row varies only U). The completion search is what walks deeper: its
 /// candidates at one probe point differ only in their completing prefix
 /// (Op::completing), so each candidate resumes from the longest prefix an
 /// earlier candidate already solved. Nodes are stored after every leading
@@ -100,12 +97,25 @@ SosOutcome run_sos_on(dram::DramColumn& column, const dram::FloatingLine* line,
 /// (init variants) x (probe voltages) x (4 + 16) states for the search's
 /// 3-op vocabulary. A change of R_def or of the numeric options clears it.
 ///
-/// A run stores a snapshot (root or node) only from a trajectory that saw
-/// no injected solver fault (SimStats::injected_faults == 0): a
+/// Within one run_all call, through a phase-prefix tree: each SOS's
+/// trajectory is a list of column phases (pf/dram/column.hpp), and SOSes
+/// that start from the same place share every phase up to the first one
+/// where they differ. The tree is walked depth first; the column is
+/// snapshotted only at a branch node (where two SOSes diverge) and restored
+/// for each later sibling. Branch snapshots are transient: at most one per
+/// branch depth is alive, and all are freed when the call returns. A branch
+/// node carries, besides the column state, the two values the observation
+/// needs from earlier on the path: the victim's logical state right after
+/// the injection (the no-fault rule of operation-free SOSes) and the result
+/// of the last victim read (latched at the end of its IO phase).
+///
+/// Every snapshot — root, node or branch — is taken only from a trajectory
+/// that saw no injected solver fault (SimStats::injected_faults == 0): a
 /// fault-injection test may corrupt one grid point or probe attempt, never
-/// the later runs that would restore from it. Snapshots carry t, dt, every
-/// voltage, the ramps and SimStats, so a restored run is bit-identical to
-/// the run that solves everything.
+/// the later runs that would restore from it. Where a branch node cannot be
+/// kept, its later siblings re-solve alone from their start. Snapshots
+/// carry t, dt, every voltage, the ramps and SimStats, so a restored run is
+/// bit-identical to the run that solves everything.
 class SosSession {
  public:
   /// Compiles the column once for (params, defect). The defect's
@@ -120,9 +130,26 @@ class SosSession {
 
   const dram::DramColumn& column() const { return column_; }
 
-  /// One experiment, bit-identical to
+  /// Run every SOS of `soses` at one (R_def, options, line, U) point and
+  /// return one outcome per SOS, in order. Each outcome is bit-identical to
   ///   run_sos(params{sim = options}, defect{resistance = r_def}, ...)
-  /// on a fresh column, whatever the trie holds.
+  /// on a fresh column, whatever the trie holds and whichever SOSes share
+  /// the call.
+  ///
+  /// A pf::Error from a phase fails every SOS whose trajectory contains
+  /// that phase, and only those; a pf::Error from an observation fails its
+  /// SOS. With `failures` null the first failure propagates at once. With
+  /// `failures` set it receives one entry per SOS — null for a solved SOS,
+  /// the exception otherwise (that SOS's outcome is default constructed) —
+  /// and the call runs the other SOSes to the end. pf::CancelledError and
+  /// non-pf exceptions always propagate.
+  std::vector<SosOutcome> run_all(
+      double r_def, const spice::SimOptions& options,
+      const dram::FloatingLine* line, double u,
+      const std::vector<faults::Sos>& soses, bool idle_before_observe = false,
+      std::vector<std::exception_ptr>* failures = nullptr);
+
+  /// run_all of one SOS.
   SosOutcome run(double r_def, const spice::SimOptions& options,
                  const dram::FloatingLine* line, double u,
                  const faults::Sos& sos, bool idle_before_observe = false);
@@ -136,11 +163,14 @@ class SosSession {
   }
 
   /// Engine steps this session's runs actually solved, failed attempts
-  /// included; trajectory restored from a snapshot (trie node, root or the
-  /// column's cached power-up) is excluded.
+  /// included; trajectory restored from a snapshot (trie node, root,
+  /// branch node or the column's cached power-up) is excluded.
   uint64_t steps_solved() const { return steps_solved_; }
-  /// Runs that resumed from a stored completing-write prefix (depth >= 1).
+  /// SOS runs that resumed from a stored completing-write prefix
+  /// (depth >= 1).
   uint64_t prefix_restores() const { return prefix_restores_; }
+  /// Branch snapshots run_all took (one per branch node it walked).
+  uint64_t branch_snapshots() const { return branch_snapshots_; }
 
  private:
   explicit SosSession(dram::DramColumn column) : column_(std::move(column)) {}
@@ -157,14 +187,18 @@ class SosSession {
     dram::DramColumn::State state;
   };
 
-  /// The stored snapshot for the first `depth` ops of `sos`, or null.
-  const Snapshot* find(const faults::Sos& sos, const dram::FloatingLine* line,
-                       uint64_t u_bits, size_t depth) const;
-  /// The trie walk behind run(); `restored_steps` receives the steps of
-  /// the trajectory restored rather than solved.
-  SosOutcome run_from_trie(const dram::FloatingLine* line, double u,
-                           const faults::Sos& sos, bool idle_before_observe,
-                           uint64_t& restored_steps);
+  /// The per-call state of run_all's tree walk (defined in the .cpp).
+  struct Batch;
+
+  /// Index into trie_ of the stored snapshot for the first `depth` ops of
+  /// `sos`, or trie_.size() when there is none.
+  size_t find(const faults::Sos& sos, const dram::FloatingLine* line,
+              uint64_t u_bits, size_t depth) const;
+  /// Depth-first walk of the SOSes in `group`, whose trajectories agree on
+  /// their first `pos` steps and whose column state is after those steps.
+  void walk(Batch& batch, std::vector<size_t> group, size_t pos);
+  /// True when the current trajectory may be snapshotted.
+  bool storable() const { return column_.sim_stats().injected_faults == 0; }
 
   dram::DramColumn column_;
 
@@ -175,6 +209,7 @@ class SosSession {
 
   uint64_t steps_solved_ = 0;
   uint64_t prefix_restores_ = 0;
+  uint64_t branch_snapshots_ = 0;
 };
 
 }  // namespace pf::analysis

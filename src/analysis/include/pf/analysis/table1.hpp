@@ -56,9 +56,13 @@ struct Table1Options {
   /// independent), exec.retry for every experiment, failed grid points
   /// degrading to Ffm::kSolveFailed cells (never classified as FFMs), and
   /// unsolvable completion probes rejecting candidates instead of aborting
-  /// the catalogue. `exec.journal_path` is used as a path *prefix* here —
-  /// one journal per (site, line, SOS) sweep. `exec.progress` reports each
-  /// sweep's points individually. `exec.cancel` / `exec.deadline_seconds`
+  /// the catalogue. The sweeps run as one multi-SOS sweep per (site,
+  /// floating line), all eight base SOSes of a grid point together.
+  /// `exec.journal_path` is used as a path *prefix* here — one journal per
+  /// (site, line, SOS), named `<prefix>-open<N>-line<L>-sos<S>.csv`, which
+  /// that multi-SOS sweep appends and resumes SOS by SOS.
+  /// `exec.progress` reports each multi-SOS sweep's grid points (all of a
+  /// point's SOSes count as one). `exec.cancel` / `exec.deadline_seconds`
   /// bound the whole catalogue: the deadline is armed once on the token's
   /// shared state, so every sweep and completion probe shares one budget.
   ExecutionPolicy exec;

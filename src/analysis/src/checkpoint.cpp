@@ -107,6 +107,15 @@ bool read_first_line(const std::string& path, std::string* line) {
   return static_cast<bool>(std::getline(in, *line));
 }
 
+/// True when the file's last byte is not a newline: an interrupted append
+/// left a torn row there.
+bool ends_mid_line(const std::string& path) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (!in.is_open() || in.tellg() <= 0) return false;
+  in.seekg(-1, std::ios::end);
+  return in.get() != '\n';
+}
+
 }  // namespace
 
 uint64_t SweepJournal::fingerprint(const SweepSpec& spec) {
@@ -236,8 +245,12 @@ SweepJournal::SweepJournal(const std::string& path, const SweepSpec& spec)
       fresh = false;
     }
   }
+  // A torn tail row stays on its own line: a row appended after it would
+  // otherwise fuse with it and be dropped on the next load.
+  const bool torn_tail = !fresh && ends_mid_line(path);
   out_.open(path, std::ios::app);
   PF_CHECK_MSG(out_.is_open(), "cannot open sweep journal " << path);
+  if (torn_tail) out_ << '\n';
   if (fresh) {
     out_ << kJournalTag << "v2 " << kFingerprintField << hex16(fingerprint_)
          << '\n'

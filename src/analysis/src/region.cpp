@@ -158,83 +158,98 @@ std::string RegionMap::to_csv() const {
 
 namespace {
 
-/// Worker-side record of one grid point, merged into the RegionMap and
-/// SweepStats in grid-index order after all workers join.
-struct PointOutcome {
-  Ffm ffm = Ffm::kUnknown;
-  int attempts = 0;
-  bool solved = false;
-  std::string error;
+/// One SOS's share of a multi-SOS sweep.
+struct SosSweep {
+  SweepSpec spec;
+  Grid2D<Ffm> grid;
+  SweepStats stats;
+  std::vector<char> resumed;  ///< per grid point: restored from the journal
+  std::unique_ptr<SweepJournal> journal;
+  bool journal_was_clean = false;
 };
 
 }  // namespace
 
-RegionMap sweep_region(const SweepSpec& spec, const ExecutionPolicy& policy) {
-  PF_CHECK(!spec.r_axis.empty() && !spec.u_axis.empty());
-  const auto lines = dram::floating_lines_for(spec.defect, spec.params);
-  PF_CHECK_MSG(spec.floating_line_index < lines.size(),
-               "defect " << dram::defect_name(spec.defect)
+std::vector<RegionMap> sweep_region(const SweepSpec& grid_spec,
+                                    const std::vector<faults::Sos>& soses,
+                                    const ExecutionPolicy& policy,
+                                    const std::vector<std::string>&
+                                        journal_paths) {
+  PF_CHECK(!grid_spec.r_axis.empty() && !grid_spec.u_axis.empty());
+  PF_CHECK_MSG(policy.journal_path.empty(),
+               "a multi-SOS sweep journals through journal_paths");
+  PF_CHECK(journal_paths.empty() || journal_paths.size() == soses.size());
+  const auto lines = dram::floating_lines_for(grid_spec.defect,
+                                              grid_spec.params);
+  PF_CHECK_MSG(grid_spec.floating_line_index < lines.size(),
+               "defect " << dram::defect_name(grid_spec.defect)
                          << " has no floating line "
-                         << spec.floating_line_index);
-  const dram::FloatingLine& line = lines[spec.floating_line_index];
-  const std::string defect_label = dram::defect_name(spec.defect);
-  const std::string sos_label = spec.sos.to_string();
+                         << grid_spec.floating_line_index);
+  const dram::FloatingLine& line = lines[grid_spec.floating_line_index];
+  const size_t width = grid_spec.u_axis.size();
+  const size_t height = grid_spec.r_axis.size();
 
-  Grid2D<Ffm> grid(spec.u_axis, spec.r_axis, Ffm::kUnknown);
-  SweepStats stats;
-  Grid2D<char> done(spec.u_axis, spec.r_axis, 0);
-  std::unique_ptr<SweepJournal> journal;
-  bool journal_was_clean = false;
-  if (!policy.journal_path.empty()) {
+  std::vector<SosSweep> sweeps;
+  for (size_t s = 0; s < soses.size(); ++s) {
+    SosSweep& sw = sweeps.emplace_back(SosSweep{
+        grid_spec, Grid2D<Ffm>(grid_spec.u_axis, grid_spec.r_axis,
+                               Ffm::kUnknown),
+        {}, std::vector<char>(width * height, 0), nullptr, false});
+    sw.spec.sos = soses[s];
+    if (journal_paths.empty() || journal_paths[s].empty()) continue;
+    const std::string& path = journal_paths[s];
     if (policy.resume) {
-      const SweepJournal::LoadResult loaded =
-          SweepJournal::load(policy.journal_path, spec);
+      const SweepJournal::LoadResult loaded = SweepJournal::load(path, sw.spec);
       for (const SweepJournal::Entry& e : loaded.entries) {
-        grid.at(e.ix, e.iy) = e.ffm;
-        done.at(e.ix, e.iy) = 1;
-        ++stats.resumed;
+        sw.grid.at(e.ix, e.iy) = e.ffm;
+        sw.resumed[e.iy * width + e.ix] = 1;
+        ++sw.stats.resumed;
       }
-      stats.journal_dropped = loaded.dropped;
-      if (loaded.quarantined) ++stats.journal_quarantined;
-      journal_was_clean = loaded.clean_end;
+      sw.stats.journal_dropped = loaded.dropped;
+      if (loaded.quarantined) ++sw.stats.journal_quarantined;
+      sw.journal_was_clean = loaded.clean_end;
       if (loaded.dropped > 0)
-        PF_LOG_WARN("journal " << policy.journal_path << ": dropped "
-                               << loaded.dropped
+        PF_LOG_WARN("journal " << path << ": dropped " << loaded.dropped
                                << " corrupt/truncated row(s); those points "
                                << "re-run");
-      if (stats.resumed > 0)
-        PF_LOG_INFO("resumed " << stats.resumed << " solved points from "
-                               << policy.journal_path
+      if (sw.stats.resumed > 0)
+        PF_LOG_INFO("resumed " << sw.stats.resumed << " solved points from "
+                               << path
                                << (loaded.clean_end
                                        ? ""
                                        : " (interrupted sweep, no END "
                                          "trailer)"));
     }
-    journal = std::make_unique<SweepJournal>(policy.journal_path, spec);
+    sw.journal = std::make_unique<SweepJournal>(path, sw.spec);
   }
 
   // Workers see the sweep's cancellation token through the solver options,
   // so the watchdog can abandon a transient mid-point.
-  SweepSpec run_spec = spec;
-  run_spec.params.sim.cancel = policy.cancel;
+  dram::DramParams run_params = grid_spec.params;
+  run_params.sim.cancel = policy.cancel;
 
-  // Pending points in row-major grid order.
-  const size_t width = spec.u_axis.size();
-  const size_t height = spec.r_axis.size();
+  // Pending points in row-major grid order, each with the SOSes it still
+  // owes (a point journaled for some SOSes runs only the others).
   std::vector<size_t> pending;
-  pending.reserve(width * height);
-  for (size_t iy = 0; iy < height; ++iy)
-    for (size_t ix = 0; ix < width; ++ix)
-      if (!done.at(ix, iy)) pending.push_back(iy * width + ix);
+  std::vector<std::vector<size_t>> pending_soses;
+  for (size_t k = 0; k < width * height; ++k) {
+    std::vector<size_t> owed;
+    for (size_t s = 0; s < sweeps.size(); ++s)
+      if (!sweeps[s].resumed[k]) owed.push_back(s);
+    if (owed.empty()) continue;
+    pending.push_back(k);
+    pending_soses.push_back(std::move(owed));
+  }
 
   const ParallelGridRunner runner(policy);
-  // Compile-once pipeline (ExecutionPolicy::circuit_mode): one circuit template
-  // is built per sweep and shared read-only; each worker lazily clones a
-  // private session from it and restamps + resets that column per point
-  // instead of rebuilding the netlist and re-running the symbolic analysis.
-  // Under kRebuild every point constructs its own column inside run_sos
-  // (the reference path). Either way the only mutable state shared between
-  // workers is the journal (self-serializing).
+  // Compile-once pipeline (ExecutionPolicy::circuit_mode): one circuit
+  // template is built per sweep and shared read-only; each worker lazily
+  // clones a private session from it and restamps + resets that column per
+  // point instead of rebuilding the netlist and re-running the symbolic
+  // analysis. Under kRebuild every SOS of every point constructs its own
+  // column inside run_sos (the reference path). Either way the only
+  // mutable state shared between workers is the journals
+  // (self-serializing).
   std::unique_ptr<SosSession> prototype;
   if (policy.circuit_mode == CircuitMode::kReuse && !pending.empty()) {
     // Cross-sweep reuse: a campaign runner hands compiled sessions from one
@@ -244,9 +259,9 @@ RegionMap sweep_region(const SweepSpec& spec, const ExecutionPolicy& policy) {
     if (policy.session_cache && !policy.session_family.empty())
       prototype = policy.session_cache->take(policy.session_family);
     if (prototype == nullptr) {
-      dram::Defect proto_defect = spec.defect;
-      proto_defect.resistance = spec.r_axis[pending.front() / width];
-      prototype = std::make_unique<SosSession>(run_spec.params, proto_defect);
+      dram::Defect proto_defect = grid_spec.defect;
+      proto_defect.resistance = grid_spec.r_axis[pending.front() / width];
+      prototype = std::make_unique<SosSession>(run_params, proto_defect);
     }
   }
   // With a session cache armed, worker 0 runs experiments directly on the
@@ -272,83 +287,99 @@ RegionMap sweep_region(const SweepSpec& spec, const ExecutionPolicy& policy) {
       sessions[static_cast<size_t>(w)] =
           std::make_unique<SosSession>(prototype->clone());
   }
-  const auto ctx_for = [&](size_t ix, size_t iy) {
-    ExperimentContext ctx;
-    ctx.key = grid_point_key(ix, iy);
-    ctx.defect = defect_label;
-    ctx.line = line.label;
-    ctx.r_def = spec.r_axis[iy];
-    ctx.u = spec.u_axis[ix];
-    ctx.sos = sos_label;
-    return ctx;
-  };
-  // One runner index per pending point. Each outcome slot is written by the
-  // one worker that claimed its point; the slots are merged in grid order
-  // after the workers join.
-  std::vector<PointOutcome> outcomes(pending.size());
+  ExperimentContext point_ctx;
+  point_ctx.defect = dram::defect_name(grid_spec.defect);
+  point_ctx.line = line.label;
+  // One runner index per pending point; its SOSes run as one batch. Each
+  // outcome slot is written by the one worker that claimed its point; the
+  // slots are merged in grid order after the workers join.
+  std::vector<std::vector<RobustOutcome>> outcomes(pending.size());
   runner.run(pending.size(), [&](size_t k, int worker) {
     const size_t ix = pending[k] % width;
     const size_t iy = pending[k] / width;
-    dram::Defect defect = spec.defect;
-    defect.resistance = spec.r_axis[iy];
-    const RobustOutcome ro =
-        prototype != nullptr
-            ? run_sos_robust(session_for(worker), run_spec.params.sim, defect,
-                             &line, spec.u_axis[ix], spec.sos, policy.retry,
-                             ctx_for(ix, iy))
-            : run_sos_robust(run_spec.params, defect, &line, spec.u_axis[ix],
-                             spec.sos, policy.retry, ctx_for(ix, iy));
-    PointOutcome& out = outcomes[k];
-    out.attempts = ro.attempts;
-    out.solved = ro.solved;
-    if (ro.solved) {
-      if (ro.outcome.faulty) out.ffm = ro.outcome.ffm;
-    } else {
-      if (!policy.record_failures) throw ConvergenceError(ro.error);
-      out.ffm = Ffm::kSolveFailed;
-      out.error = ro.error;
-    }
-    if (journal) {
+    dram::Defect defect = grid_spec.defect;
+    defect.resistance = grid_spec.r_axis[iy];
+    std::vector<faults::Sos> owed;
+    for (size_t s : pending_soses[k]) owed.push_back(soses[s]);
+    ExperimentContext ctx = point_ctx;
+    ctx.key = grid_point_key(ix, iy);
+    ctx.r_def = grid_spec.r_axis[iy];
+    ctx.u = grid_spec.u_axis[ix];
+    std::vector<RobustOutcome>& ros = outcomes[k];
+    ros = prototype != nullptr
+              ? run_sos_robust(session_for(worker), run_params.sim, defect,
+                               &line, ctx.u, owed, policy.retry, ctx)
+              : run_sos_robust(run_params, defect, &line, ctx.u, owed,
+                               policy.retry, ctx);
+    const RobustOutcome* first_failure = nullptr;
+    for (size_t j = 0; j < ros.size(); ++j) {
+      const RobustOutcome& ro = ros[j];
+      if (!ro.solved && first_failure == nullptr) first_failure = &ro;
+      if (!ro.solved && !policy.record_failures) continue;
+      SweepJournal* journal = sweeps[pending_soses[k][j]].journal.get();
+      if (journal == nullptr) continue;
       SweepJournal::Entry e;
       e.ix = ix;
       e.iy = iy;
-      e.ffm = out.ffm;
-      e.attempts = out.attempts;
-      journal->append(e, spec.r_axis[iy], spec.u_axis[ix]);
+      e.ffm = !ro.solved           ? Ffm::kSolveFailed
+              : ro.outcome.faulty ? ro.outcome.ffm
+                                  : Ffm::kUnknown;
+      e.attempts = ro.attempts;
+      journal->append(e, ctx.r_def, ctx.u);
     }
+    if (first_failure != nullptr && !policy.record_failures)
+      throw ConvergenceError(first_failure->error);
   });
 
   // Deterministic merge in row-major grid order: the grid cells and the
   // stats (including failure_log order) are independent of worker
   // scheduling.
   for (size_t k = 0; k < pending.size(); ++k) {
-    const PointOutcome& out = outcomes[k];
-    grid.at(pending[k] % width, pending[k] / width) = out.ffm;
-    ++stats.attempted;
-    stats.retries +=
-        static_cast<size_t>(out.attempts > 0 ? out.attempts - 1 : 0);
-    if (out.solved) {
-      ++stats.solved;
-    } else {
-      ++stats.failed;
-      stats.failure_log.push_back(out.error);
+    for (size_t j = 0; j < outcomes[k].size(); ++j) {
+      const RobustOutcome& ro = outcomes[k][j];
+      SosSweep& sw = sweeps[pending_soses[k][j]];
+      Ffm& cell = sw.grid.at(pending[k] % width, pending[k] / width);
+      ++sw.stats.attempted;
+      sw.stats.retries += static_cast<size_t>(ro.attempts - 1);
+      if (ro.solved) {
+        ++sw.stats.solved;
+        cell = ro.outcome.faulty ? ro.outcome.ffm : Ffm::kUnknown;
+      } else {
+        ++sw.stats.failed;
+        sw.stats.failure_log.push_back(ro.error);
+        cell = Ffm::kSolveFailed;
+      }
     }
   }
-  if (stats.failed > 0)
-    PF_LOG_INFO("sweep degraded: " << stats.failed << " of "
-                                   << grid.width() * grid.height()
-                                   << " points unsolved after retries");
-  // The sweep covered every grid point: mark the journal cleanly complete.
-  // Skip only when nothing was appended to an already-clean journal (a
-  // fully resumed rerun), so reruns do not stack duplicate trailers.
-  if (journal && !(journal_was_clean && journal->rows_appended() == 0))
-    journal->finalize();
+  std::vector<RegionMap> maps;
+  for (SosSweep& sw : sweeps) {
+    if (sw.stats.failed > 0)
+      PF_LOG_INFO("sweep degraded: " << sw.stats.failed << " of "
+                                     << width * height
+                                     << " points unsolved after retries");
+    // The sweep covered every grid point: mark the journal cleanly
+    // complete. Skip only when nothing was appended to an already-clean
+    // journal (a fully resumed rerun), so reruns do not stack duplicate
+    // trailers.
+    if (sw.journal && !(sw.journal_was_clean && sw.journal->rows_appended() == 0))
+      sw.journal->finalize();
+    maps.emplace_back(std::move(sw.spec), std::move(sw.grid),
+                      std::move(sw.stats));
+  }
   // Hand the compiled session back for the next sweep in this family. Only
   // reached on success: a cancelled or failed sweep drops the session (the
   // next borrower misses and recompiles — correct, just colder).
   if (adopt_prototype)
     policy.session_cache->put(policy.session_family, std::move(prototype));
-  return RegionMap(spec, std::move(grid), std::move(stats));
+  return maps;
+}
+
+RegionMap sweep_region(const SweepSpec& spec, const ExecutionPolicy& policy) {
+  ExecutionPolicy multi = policy;
+  multi.journal_path.clear();
+  std::vector<std::string> journal_paths;
+  if (!policy.journal_path.empty()) journal_paths.push_back(policy.journal_path);
+  return std::move(sweep_region(spec, {spec.sos}, multi, journal_paths).front());
 }
 
 RegionMap region_map_from_csv(const SweepSpec& spec, const std::string& csv) {

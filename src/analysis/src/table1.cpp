@@ -93,23 +93,30 @@ std::vector<Table1Row> generate_table1(const dram::DramParams& params,
     const dram::Defect proto = dram::Defect::open(site, 1e6);
     const auto lines = dram::floating_lines_for(proto, params);
     const pf::Interval r_range = site_r_range(site, options);
-    const auto sweep = [&](size_t li, size_t si) {
+    // One multi-SOS sweep per floating line: a grid point's eight base
+    // SOSes run together and share their common phases.
+    std::vector<std::vector<RegionMap>> maps;
+    for (size_t li = 0; li < lines.size(); ++li) {
       SweepSpec spec;
       spec.params = params;
       spec.defect = proto;
       spec.floating_line_index = li;
-      spec.sos = soses[si];
       spec.r_axis = pf::logspace(r_range.lo, r_range.hi, options.r_points);
       spec.u_axis =
           pf::linspace(lines[li].min_v, lines[li].max_v, options.u_points);
       ExecutionPolicy exec = options.exec;
+      std::vector<std::string> journals;
       if (!exec.journal_path.empty())
-        exec.journal_path += "-open" + std::to_string(dram::open_number(site)) +
+        for (size_t si = 0; si < soses.size(); ++si)
+          journals.push_back(exec.journal_path + "-open" +
+                             std::to_string(dram::open_number(site)) +
                              "-line" + std::to_string(li) + "-sos" +
-                             std::to_string(si) + ".csv";
-      return sweep_region(spec, exec);
-    };
-    for (Table1Row& row : analyze_table1_site(params, site, options, sweep))
+                             std::to_string(si) + ".csv");
+      exec.journal_path.clear();
+      maps.push_back(sweep_region(spec, soses, exec, journals));
+    }
+    const auto map_for = [&](size_t li, size_t si) { return maps[li][si]; };
+    for (Table1Row& row : analyze_table1_site(params, site, options, map_for))
       rows.push_back(std::move(row));
   }
   std::sort(rows.begin(), rows.end(), [](const Table1Row& a,

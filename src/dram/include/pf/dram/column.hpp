@@ -62,16 +62,21 @@ namespace pf::dram {
 struct RailTarget {
   spice::NodeId rail = spice::kGround;
   double volts = 0.0;
+
+  bool operator==(const RailTarget&) const = default;
 };
 
 /// One transient segment of a DRAM operation: retarget the listed rails,
 /// advance the circuit for `duration` seconds, then (for the IO phase)
 /// latch the output buffer. DramColumn's operations are written as a list
-/// of these phases.
+/// of these phases. Two equal phases applied to equal column states reach
+/// equal states: the phase is the unit SosSession shares between SOSes.
 struct OpPhase {
   std::vector<RailTarget> rails;
   double duration = 0.0;
   bool latch_after = false;
+
+  bool operator==(const OpPhase&) const = default;
 };
 
 /// The output-buffer latch decision on the TRUE shared IO line (secondary
@@ -162,6 +167,32 @@ class DramColumn {
   /// A precharge-only cycle (no word line raised).
   void idle_cycle();
 
+  // --- Phase API ------------------------------------------------------------
+  //
+  // write(), read() and idle_cycle() are exactly apply_phase() over these
+  // lists, which are the single definition of the column's sequencing. The
+  // seven phases of an operation are: precharge, release, word line up,
+  // sense, IO (drive for writes; the read latch samples at its end),
+  // isolate and recover. w0, w1 and r at one address differ only from the
+  // IO phase on; an idle cycle shares the precharge phase.
+
+  /// The phase schedule of a full operation / an idle cycle. Pure functions
+  /// of (params, topology): no circuit state is read or written.
+  std::vector<OpPhase> operation_phases(int addr, bool is_write,
+                                        int value) const;
+  std::vector<OpPhase> idle_phases() const;
+
+  /// Retarget the phase's rails, advance the circuit, then latch the output
+  /// buffer when the phase asks for it.
+  void apply_phase(const OpPhase& phase);
+
+  /// The logical value a read of `addr` returns from the current output
+  /// buffer (polarity-corrected for complement-side cells): read()'s
+  /// result, valid from the end of its IO phase on.
+  int read_value(int addr) const {
+    return on_complement_bl(addr) ? 1 - buffer_ : buffer_;
+  }
+
   /// An idle pause with everything switched off (word lines low, SA off):
   /// storage nodes decay through whatever leakage paths exist (the gmin
   /// floor plus injected kLeakyCell defects). This is the "Del" element of
@@ -210,13 +241,7 @@ class DramColumn {
   }
 
  private:
-  /// The phase schedule of a full operation / an idle cycle — the single
-  /// definition of the column's sequencing. Pure functions of (params,
-  /// topology): no circuit state is read or written.
-  std::vector<OpPhase> operation_phases(int addr, bool is_write,
-                                        int value) const;
-  std::vector<OpPhase> idle_phases() const;
-
+  void cache_pristine();
   void run_phase(double duration);
   void run_operation(int addr, bool is_write, int value);
   void latch_output_buffer();

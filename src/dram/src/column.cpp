@@ -211,8 +211,7 @@ DramColumn::DramColumn(const DramParams& params, const Defect& defect)
     cell_nodes_[i] = nid("cell" + std::to_string(i));
 
   power_up();
-  pristine_ = save_state();
-  pristine_valid_ = true;
+  cache_pristine();
 }
 
 DramColumn DramColumn::clone_fresh() const {
@@ -231,8 +230,15 @@ void DramColumn::reset() {
   // exact state a fresh construction starts from, then re-cache.
   ckt_.reset_to_initial();
   power_up();
+  cache_pristine();
+}
+
+void DramColumn::cache_pristine() {
+  // A power-up that a fault-injection test fired into is not the pristine
+  // state: caching it would carry one corrupted experiment into every
+  // later reset(). Leave the cache stale so the next reset() solves again.
   pristine_ = save_state();
-  pristine_valid_ = true;
+  pristine_valid_ = ckt_.stats().injected_faults == 0;
 }
 
 void DramColumn::set_defect_resistance(double ohms) {
@@ -321,11 +327,13 @@ void DramColumn::pause(double seconds) {
 }
 
 void DramColumn::idle_cycle() {
-  for (const OpPhase& phase : idle_phases()) {
-    for (const RailTarget& rt : phase.rails) ckt_.set_rail(rt.rail, rt.volts);
-    run_phase(phase.duration);
-    if (phase.latch_after) latch_output_buffer();
-  }
+  for (const OpPhase& phase : idle_phases()) apply_phase(phase);
+}
+
+void DramColumn::apply_phase(const OpPhase& phase) {
+  for (const RailTarget& rt : phase.rails) ckt_.set_rail(rt.rail, rt.volts);
+  run_phase(phase.duration);
+  if (phase.latch_after) latch_output_buffer();
 }
 
 int resolve_output_latch(double iot_b_volts, const DramParams& params,
@@ -404,11 +412,8 @@ std::vector<OpPhase> DramColumn::operation_phases(int addr, bool is_write,
 }
 
 void DramColumn::run_operation(int addr, bool is_write, int value) {
-  for (const OpPhase& phase : operation_phases(addr, is_write, value)) {
-    for (const RailTarget& rt : phase.rails) ckt_.set_rail(rt.rail, rt.volts);
-    run_phase(phase.duration);
-    if (phase.latch_after) latch_output_buffer();
-  }
+  for (const OpPhase& phase : operation_phases(addr, is_write, value))
+    apply_phase(phase);
 }
 
 void DramColumn::write(int addr, int value) {
@@ -418,8 +423,7 @@ void DramColumn::write(int addr, int value) {
 
 int DramColumn::read(int addr) {
   run_operation(addr, /*is_write=*/false, 0);
-  const int raw = buffer_;
-  return on_complement_bl(addr) ? 1 - raw : raw;
+  return read_value(addr);
 }
 
 double DramColumn::cell_voltage(int addr) const {

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 
+#include "pf/analysis/table1.hpp"
 #include "pf/testing/oracle.hpp"
 #include "pf/testing/shrink.hpp"
 
@@ -70,6 +71,72 @@ TEST(FuzzDifferential, GridIsBitIdenticalAcrossExecutionModes) {
                   ? "reuse"
                   : "rebuild")
           << ")";
+    }
+  }
+}
+
+/// The multi-SOS sweep's map for soses[j] against the single-SOS sweep of
+/// soses[j], both on c's grid under c's execution mode; "" when they agree.
+std::string multi_sos_mismatch(const FuzzCase& c,
+                               const std::vector<faults::Sos>& soses,
+                               size_t j) {
+  analysis::ExecutionPolicy policy;
+  policy.threads = c.threads;
+  policy.circuit_mode = c.circuit;
+  const analysis::SweepSpec grid = c.sweep_spec();
+  const auto multi = sweep_region(grid, soses, policy);
+  analysis::SweepSpec single = grid;
+  single.sos = soses[j];
+  const auto want = sweep_region(single, policy);
+  if (multi.at(j).to_csv() != want.to_csv())
+    return "map of " + soses[j].to_string() + " differs";
+  if (multi[j].solve_stats().retries != want.solve_stats().retries ||
+      multi[j].solve_stats().failure_log != want.solve_stats().failure_log)
+    return "SweepStats of " + soses[j].to_string() + " differ";
+  return "";
+}
+
+// Differential: the multi-SOS sweep (a grid point's SOSes as one batch,
+// shared phases solved once) over a random grid and a random set of 2-8
+// SOSes equals per-SOS sweep_region calls, map for map.
+TEST(FuzzDifferential, MultiSosSweepMatchesPerSosSweeps) {
+  const uint64_t seed = fuzz_seed();
+  const int iters = fuzz_iters(3);
+  SCOPED_TRACE(fuzz_banner("differential.multi_sos", seed, iters));
+  Rng rng(seed);
+  const std::vector<faults::Sos> bases = analysis::base_soses();
+  for (int i = 0; i < iters; ++i) {
+    FuzzCase c = random_case(rng);
+    c.threads = (i % 2) ? 3 : 1;
+    std::vector<faults::Sos> soses = {c.sos};
+    const size_t n = 2 + rng.next_below(7);
+    while (soses.size() < n)
+      soses.push_back(rng.next_below(2) ? random_sos(rng)
+                                        : bases[rng.next_below(bases.size())]);
+    for (size_t j = 0; j < soses.size(); ++j) {
+      const std::string why = multi_sos_mismatch(c, soses, j);
+      if (why.empty()) continue;
+      // Shrink the grid, tweaks and the mismatching SOS; the other SOSes
+      // of the set stay as its batch companions.
+      c.sos = soses[j];
+      const ShrinkResult shrunk =
+          shrink_case(c, [&](const FuzzCase& candidate) {
+            std::vector<faults::Sos> set = soses;
+            set[j] = candidate.sos;
+            try {
+              return !multi_sos_mismatch(candidate, set, j).empty();
+            } catch (const std::exception&) {
+              return true;
+            }
+          });
+      std::string set;
+      for (size_t k = 0; k < soses.size(); ++k)
+        set += (k == 0 ? "\"" : ", \"") +
+               (k == j ? shrunk.minimal.sos : soses[k]).to_string() +
+               (k == j ? "\" (shrunk)" : "\"");
+      ADD_FAILURE() << "iteration " << i << ": " << why << "\nSOS set: " << set
+                    << "\n" << shrink_report(shrunk, seed);
+      return;  // one shrunk repro at a time
     }
   }
 }
